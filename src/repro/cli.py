@@ -32,8 +32,8 @@ zero-copy shared memory or pickled queues), and ``--checkpoint`` /
 killed and continued bit-identically. Multiprocess runs are supervised:
 ``--max-restarts`` / ``--worker-deadline`` respawn crashed or hung
 workers from in-memory snapshots with bounded replay (results stay
-bit-identical), and ``--fault-plan`` injects deterministic faults to
-drill those paths. ``watch`` is the live surface:
+bit-identical), and ``--fault-plan`` (or ``$REPRO_FAULT_PLAN``) injects
+deterministic faults into every multi-worker run to drill those paths. ``watch`` is the live surface:
 it follows a *growing* file (or stdin) and emits a snapshot of every
 estimator's current results each ``--every`` batches while the stream
 keeps flowing, with the same checkpoint/resume knobs. ``check`` is the
@@ -457,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="with --workers > 1: respawn a crashed or hung worker up "
         "to N times (snapshot restore + bounded replay keeps results "
-        "bit-identical). 0 disables supervision and fails the run on "
-        "the first worker death (default: 2)",
+        "bit-identical). 0 fails the run on the first worker failure "
+        "(default: 2)",
     )
     p_pipe.add_argument(
         "--worker-deadline",

@@ -23,9 +23,10 @@ This subpackage is the architectural backbone for one-pass processing:
   multiprocess fan-out that shards every estimator pool across workers
   over one stream read and merges states through the
   :class:`CheckpointableEstimator` protocol;
-- :mod:`repro.streaming.supervisor` -- :class:`ShardSupervisor`, the
-  self-healing layer under the multiprocess paths (snapshots, bounded
-  replay, bounded respawns), opted into via ``max_restarts``;
+- :mod:`repro.streaming.supervisor` -- :class:`ShardSupervisor`, which
+  spawns, feeds and collects the workers of every multiprocess run and
+  heals them within the ``max_restarts`` budget (snapshots, bounded
+  replay, bounded respawns);
 - :mod:`repro.streaming.faults` -- :class:`FaultPlan`, deterministic
   counter-based fault injection for drilling every recovery path;
 - :mod:`repro.streaming.estimators` -- the registered specs for every

@@ -1,7 +1,8 @@
 """Zero-copy shard transport over ``multiprocessing.shared_memory``.
 
-Both multiprocess paths (:class:`~repro.streaming.sharded.ShardedPipeline`
-and :class:`~repro.core.parallel.ParallelTriangleCounter`) broadcast
+The shard supervisor (:class:`~repro.streaming.supervisor.ShardSupervisor`,
+behind both :class:`~repro.streaming.sharded.ShardedPipeline` and
+:class:`~repro.core.parallel.ParallelTriangleCounter`) broadcasts
 every batch to every worker. Over pickled queues that costs ``workers``
 serialized copies of the same ``(w, 2)`` int64 array per batch -- at
 paper-scale batch sizes the dominant parent-side cost, and the reason
@@ -33,9 +34,9 @@ Pieces, parent to worker:
   consumer moves on) and raw arrays alike, so worker loops are
   transport-agnostic;
 - :class:`BatchSender` -- the parent-side policy object: resolves
-  ``transport="auto"|"shm"|"queue"``, owns the ring, and falls back to
-  the pickled payload per batch (odd sizes) or wholesale (no shm on
-  the platform -- see :func:`shm_available`).
+  ``transport="auto"|"shm"|"queue"``, owns the ring, and leaves the
+  supervisor to fall back to the pickled payload per batch (odd sizes)
+  or wholesale (no shm on the platform -- see :func:`shm_available`).
 
 **Lifecycle contract.** A block is reused the moment its refcount
 returns to 0, so consumers must not retain references into a batch
@@ -44,9 +45,9 @@ after advancing the feed past it -- the engines already honor this
 with the batch). Cleanup is parent-side and crash-safe: every segment
 is unlinked in :meth:`ShmRing.close`, which runs in the run's
 ``finally`` *and* via ``atexit``; a worker killed mid-batch leaves only
-refcounts behind, which the parent's liveness callback turns into
-:class:`~repro.errors.WorkerCrashedError` instead of a hung wait, and
-the unlink still proceeds. Worker attachments auto-register with the
+reference flags behind, which the supervisor's liveness callback turns
+into a recovery (or, with no restart budget, a failed run) instead of
+a hung wait, and the unlink still proceeds. Worker attachments auto-register with the
 ``resource_tracker`` (bpo-38119), which is harmless here: children
 share the parent's tracker process, so the register is a set re-add of
 the parent's own entry, cleared once by the parent's unlink.
@@ -65,7 +66,7 @@ import secrets
 
 import numpy as np
 
-from ..errors import InvalidParameterError, WorkerCrashedError
+from ..errors import InvalidParameterError
 from .batch import EdgeBatch
 
 __all__ = [
@@ -293,15 +294,14 @@ class ShmRing:
         """Copy ``array`` into a free block; return its descriptor.
 
         ``consumers`` selects which workers the descriptor is stamped
-        for (default: all) -- a supervised run excludes workers that
-        were degraded to the queue payload. Returns ``None`` when the
-        batch cannot ride the ring (wrong dtype/shape or larger than a
-        block) -- the caller falls back to the pickled payload for that
-        batch. Blocks until a slot frees up; every second of waiting
-        invokes ``alive`` (if given), whose job is to raise
-        :class:`~repro.errors.WorkerCrashedError` when a consumer died
-        holding references, turning a would-be deadlock into the
-        standard crash report.
+        for (default: all) -- the supervisor excludes workers that were
+        degraded to the queue payload. Returns ``None`` when the batch
+        cannot ride the ring (wrong dtype/shape or larger than a block)
+        -- the caller falls back to the pickled payload for that batch.
+        Blocks until a slot frees up; every second of waiting invokes
+        ``alive`` (if given), whose job is to raise when a consumer
+        died holding references, turning a would-be deadlock into a
+        worker failure.
         """
         if (
             array.dtype != np.int64
@@ -379,11 +379,11 @@ class TransportFeed:
     Transport-agnostic successor of the queue-only feed: shared-memory
     descriptors come back as zero-copy :class:`EdgeBatch` views
     (released as soon as the consumer advances past them), raw arrays
-    as plain batches, anything else (tuple lists) verbatim. Tracks
-    sentinel consumption so the error path knows whether
-    :meth:`drain` still owes the parent queue space -- and drain
-    releases any descriptors it swallows, so a worker failing mid-run
-    never strands ring slots.
+    as plain batches, anything else (tuple lists) verbatim.
+    ``finished`` turns true once the sentinel is consumed. A worker
+    that fails mid-run strands nothing: the block it was reading is
+    released as the generator unwinds, and the supervisor revokes
+    whatever descriptors are left in its queue.
     """
 
     def __init__(self, queue, client: ShmRingClient | None = None) -> None:
@@ -424,26 +424,13 @@ class TransportFeed:
             else:
                 yield item
 
-    def drain(self) -> None:
-        """Consume to the sentinel, releasing any ring slots en route."""
-        if self.finished:
-            return
-        while True:
-            item = self._queue.get()
-            if item is None:
-                break
-            if self._is_descriptor(item) and self._client is not None:
-                self._client.release(item[1])
-        self.finished = True
-
 
 class BatchSender:
     """Parent-side transport policy: ring when possible, pickle otherwise.
 
-    One instance per multiprocess run. ``payload(batch, alive)`` maps
-    each stream batch to what goes on the worker queues -- a descriptor
-    when the ring takes it, the raw array or tuple list when not -- so
-    the calling loop is identical under every transport.
+    One instance per multiprocess run. Each stream batch goes on the
+    worker queues as a ring :meth:`descriptor` when the ring takes it,
+    else as its :meth:`raw` array or tuple list.
     """
 
     def __init__(
@@ -478,26 +465,14 @@ class BatchSender:
         """Worker ``consumer``'s handle (``None`` on the queue path)."""
         return self._ring.client(consumer) if self._ring is not None else None
 
-    def payload(self, batch, alive=None, consumers=None):
-        """What to enqueue for ``batch`` under the active transport."""
-        if isinstance(batch, EdgeBatch):
-            if self._ring is not None:
-                # A signed batch's wire form is (w, 3), which the ring
-                # declines by shape: turnstile batches automatically
-                # ride the pickled fallback, leaving the zero-copy
-                # fast path insert-only and untouched.
-                descriptor = self._ring.send(batch.wire, alive, consumers)
-                if descriptor is not None:
-                    return descriptor
-            return batch.wire
-        return list(batch)
-
     def descriptor(self, batch, alive=None, consumers=None):
         """A ring descriptor for ``batch``, or ``None`` (no fallback).
 
-        The supervised send loop needs the two payload kinds kept
-        apart: a descriptor is enqueued only to the workers it was
-        stamped for, everyone else gets :meth:`raw`.
+        The supervisor's send loop keeps the two payload kinds apart: a
+        descriptor is enqueued only to the workers it was stamped for,
+        everyone else gets :meth:`raw`. A signed batch's wire form is
+        ``(w, 3)``, which the ring declines by shape, so turnstile
+        batches always ride the pickled payload.
         """
         if self._ring is None or not isinstance(batch, EdgeBatch):
             return None
@@ -516,18 +491,3 @@ class BatchSender:
     def close(self) -> None:
         if self._ring is not None:
             self._ring.close()
-
-
-def check_procs_alive(procs) -> None:
-    """Raise :class:`WorkerCrashedError` if any worker process died.
-
-    The liveness callback handed to :meth:`ShmRing.send`: a dead
-    consumer can never return its ring references, so a parent blocked
-    on a full ring must fail the run like the queue path does.
-    """
-    for i, proc in enumerate(procs):
-        if not proc.is_alive():
-            raise WorkerCrashedError(
-                f"worker {i} died (exitcode {proc.exitcode}) "
-                "without reporting a result"
-            ) from None

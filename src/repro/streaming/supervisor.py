@@ -1,13 +1,18 @@
-"""Self-healing supervision for the multiprocess shard runners.
+"""The one multiprocess shard runner, and its self-healing supervision.
+
+Both multiprocess front ends -- :class:`~repro.streaming.sharded.ShardedPipeline`
+and :class:`~repro.core.parallel.ParallelTriangleCounter` -- hand
+:func:`run_shards` one :class:`EstimatorShardProgram` per worker and
+the batch stream. A single program runs in-process; several run in
+worker processes that :class:`ShardSupervisor` spawns, feeds and
+collects. There is no other worker path.
 
 The estimator dimension is embarrassingly parallel *and* bit-exactly
 checkpointable, which makes per-shard recovery natural: a worker's
 whole contribution to a run is its shard state, a pure function of
-(build plan, batches consumed). The supervisor exploits that to turn
-:class:`~repro.streaming.sharded.ShardedPipeline` and
-:class:`~repro.core.parallel.ParallelTriangleCounter` runs into
-executions that survive worker crashes and hangs without losing bit
-identity:
+(build plan, batches consumed). The supervisor exploits that to
+survive worker crashes and hangs without losing bit identity, within
+the per-worker restart budget :attr:`Supervision.max_restarts`:
 
 - **Snapshots.** Every ``snapshot_every`` batches the parent emits a
   ``sync`` control message down each worker queue; each worker replies
@@ -42,13 +47,20 @@ identity:
   :class:`~repro.errors.RetryExhaustedError` carrying the last worker
   traceback. Every respawn emits a
   :class:`~repro.errors.WorkerRestartedWarning`.
+- **Zero budget.** ``max_restarts=0`` (the front ends' default) is the
+  same path with nothing to spend: no snapshot barriers, no replay
+  buffer, and the first failure ends the run. A worker that raised
+  surfaces its own exception with a ``worker traceback`` note; one that
+  died, hung, or exited without posting its result surfaces
+  :class:`~repro.errors.WorkerCrashedError`.
 
 Out-queue messages are tagged with the sender's *incarnation* so a
 dead worker's stragglers (a result flushed just before the kill
 landed) cannot be attributed to its replacement. Worker faults from an
-armed :class:`~repro.streaming.faults.FaultPlan` fire keyed on batch
-index and incarnation, which is how the chaos tests drive every one of
-these paths deterministically.
+armed :class:`~repro.streaming.faults.FaultPlan` (passed in, or armed
+through ``$REPRO_FAULT_PLAN``) fire in every multi-worker run, keyed
+on batch index and incarnation, which is how the chaos tests drive
+every one of these paths deterministically.
 """
 
 from __future__ import annotations
@@ -61,24 +73,30 @@ from dataclasses import dataclass
 from ..errors import (
     InvalidParameterError,
     RetryExhaustedError,
+    WorkerCrashedError,
     WorkerRestartedWarning,
 )
 from . import faults as faults_module
 from .batch import EdgeBatch
+from .registry import ESTIMATORS
 from .shm import BatchSender, TransportFeed
 
 __all__ = [
     "CTL_TAG",
-    "CounterShardProgram",
     "EstimatorShardProgram",
     "ShardSupervisor",
     "Supervision",
+    "run_shards",
 ]
 
 #: First element of a control tuple on a worker's input queue. Rides
 #: the same queues as batches (so ordering is exact) and passes through
 #: :class:`TransportFeed` verbatim, like any unknown tuple.
 CTL_TAG = "__repro_ctl__"
+
+#: Batches in flight per worker queue: bounds parent-side memory while
+#: still hiding transport latency behind worker compute.
+_QUEUE_DEPTH = 4
 
 #: Grace period for a worker that exited cleanly before its result
 #: surfaces (the queue feeder may still be flushing).
@@ -87,14 +105,16 @@ _CLEAN_EXIT_GRACE = 0.5
 
 @dataclass(frozen=True)
 class Supervision:
-    """The supervision policy knobs.
+    """The supervision policy knobs, validated on construction.
 
-    ``max_restarts`` is per worker. ``worker_deadline`` (seconds) arms
-    the hang watchdog: a worker making no progress for that long is
-    treated as crashed (``None`` disables it -- a merely *dead* worker
-    is still detected by liveness polls). ``snapshot_every`` is the
-    sync-barrier cadence in batches, which bounds both the replay
-    window's memory and the batches re-processed after a crash.
+    ``max_restarts`` is per worker; ``0`` fails the run on the first
+    worker failure (see the module docstring). ``worker_deadline``
+    (seconds) arms the hang watchdog: a worker making no progress for
+    that long is treated as crashed (``None`` disables it -- a merely
+    *dead* worker is still detected by liveness polls).
+    ``snapshot_every`` is the sync-barrier cadence in batches, which
+    bounds both the replay window's memory and the batches
+    re-processed after a crash.
     ``backoff`` is the first respawn delay, doubled per consecutive
     restart of the same worker up to ``backoff_cap``.
 
@@ -114,11 +134,34 @@ class Supervision:
     backoff_cap: float = 5.0
     replay_window: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.max_restarts < 0:
+            raise InvalidParameterError(
+                f"max_restarts must be >= 0, got {self.max_restarts}"
+            )
+        if self.worker_deadline is not None and self.worker_deadline <= 0:
+            raise InvalidParameterError(
+                f"worker_deadline must be positive, got {self.worker_deadline}"
+            )
+        if self.snapshot_every < 0:
+            raise InvalidParameterError(
+                f"snapshot_every must be >= 0, got {self.snapshot_every}"
+            )
+        if self.replay_window is not None and self.replay_window < 0:
+            raise InvalidParameterError(
+                f"replay_window must be >= 0, got {self.replay_window}"
+            )
+
 
 class EstimatorShardProgram:
-    """One worker's shard of a :class:`ShardedPipeline` estimator pool.
+    """One worker's shard of every estimator pool in a run.
 
-    A *program* is the picklable recipe a supervised worker runs:
+    ``specs`` is one worker's entry of
+    :meth:`~repro.streaming.sharded.ShardedPipeline.worker_specs`:
+    ``{"name", "num_estimators", "seed", "options"}`` dicts, each
+    built through :data:`~repro.streaming.registry.ESTIMATORS`.
+
+    A *program* is the picklable recipe a shard worker runs:
     :meth:`build` constructs fresh state deterministically (so a
     respawn before the first snapshot needs no restore at all),
     :meth:`consume` processes one batch, :meth:`state`/:meth:`load`
@@ -137,9 +180,15 @@ class EstimatorShardProgram:
             from ..core.backend import set_backend
 
             set_backend(self.backend)
-        from .sharded import _build_estimators
-
-        self._pairs = _build_estimators(self.specs)
+        self._pairs = [
+            (
+                spec["name"],
+                ESTIMATORS.get(spec["name"]).create(
+                    spec["num_estimators"], spec["seed"], **spec["options"]
+                ),
+            )
+            for spec in self.specs
+        ]
         self._fast = [
             getattr(est, "update_prepared", None) for _, est in self._pairs
         ]
@@ -184,48 +233,52 @@ class EstimatorShardProgram:
             est.load_state_dict(state[name])
 
     def finish(self):
+        """``({name: state_dict}, {name: seconds in consume})``."""
         return (self.state(), dict(self._timings))
 
 
-class CounterShardProgram:
-    """One worker's estimator shard of a :class:`ParallelTriangleCounter`."""
+def run_shards(
+    programs,
+    batches,
+    *,
+    transport: str,
+    batch_size: int,
+    policy: Supervision,
+    fault_plan=None,
+    journal=None,
+) -> tuple[list, list[int]]:
+    """Run one program per worker over ``batches``, read once.
 
-    def __init__(self, num_estimators, seed_seq, backend: str | None = None) -> None:
-        self.num_estimators = num_estimators
-        self.seed_seq = seed_seq
-        self.backend = backend
+    Returns every program's :meth:`~EstimatorShardProgram.finish` value
+    in worker order, and the per-worker restart counts. A single
+    program runs in this process (no transport, no supervision: there
+    is no worker to lose); more run under a :class:`ShardSupervisor`.
+    """
+    if len(programs) == 1:
+        (program,) = programs
+        program.build()
+        for batch in batches:
+            program.consume(batch)
+        return [program.finish()], [0]
+    import multiprocessing
 
-    def build(self) -> None:
-        if self.backend is not None:
-            from ..core.backend import set_backend
-
-            set_backend(self.backend)
-        from ..core.vectorized import VectorizedTriangleCounter
-
-        self._counter = VectorizedTriangleCounter(
-            self.num_estimators, seed=self.seed_seq
-        )
-
-    def consume(self, batch) -> None:
-        if isinstance(batch, EdgeBatch):
-            self._counter.update_prepared(batch)
-        else:
-            self._counter.update_batch(batch)
-
-    def state(self) -> dict:
-        return self._counter.state_dict()
-
-    def load(self, state: dict) -> None:
-        self._counter.load_state_dict(state)
-
-    def finish(self):
-        return self._counter.state_dict()
+    supervisor = ShardSupervisor(
+        multiprocessing.get_context(),
+        programs,
+        transport=transport,
+        batch_size=batch_size,
+        policy=policy,
+        fault_plan=fault_plan,
+        journal=journal,
+    )
+    finals = supervisor.run(batches)
+    return finals, supervisor.restarts
 
 
-def _supervised_worker(
+def _shard_worker(
     in_queue, out_queue, index: int, incarnation: int, program, client, plan
 ) -> None:
-    """The supervised worker loop: batches, control messages, faults.
+    """The shard worker loop: batches, control messages, faults.
 
     Control tuples ride the batch queue so they are ordered exactly
     against the stream: a ``sync`` ack therefore reports the state at
@@ -298,7 +351,6 @@ class ShardSupervisor:
         *,
         transport: str,
         batch_size: int,
-        queue_depth: int = 4,
         policy: Supervision | None = None,
         fault_plan=None,
         journal=None,
@@ -310,16 +362,15 @@ class ShardSupervisor:
         self._plan = (
             fault_plan if fault_plan is not None else faults_module.active_plan()
         )
-        self._queue_depth = queue_depth
         self._sender = BatchSender(
             ctx,
             transport=transport,
             consumers=self._n,
             batch_size=batch_size,
-            queue_depth=queue_depth,
+            queue_depth=_QUEUE_DEPTH,
         )
         self._in_queues = [
-            ctx.Queue(maxsize=queue_depth) for _ in range(self._n)
+            ctx.Queue(maxsize=_QUEUE_DEPTH) for _ in range(self._n)
         ]
         self._out_queue = ctx.Queue()
         self._procs: list = [None] * self._n
@@ -351,19 +402,20 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     def run(self, batches) -> list:
         """Drive ``batches`` through the workers; return their finals."""
+        # A zero budget could never restore a snapshot: take none.
+        every = self._policy.snapshot_every if self._policy.max_restarts else 0
+        finished = False
         try:
             for i in range(self._n):
                 self._spawn(i)
             for batch in batches:
                 self._broadcast(batch)
-                if (
-                    self._policy.snapshot_every
-                    and self._global_batch % self._policy.snapshot_every == 0
-                ):
+                if every and self._global_batch % every == 0:
                     self._sync()
             self._finish()
+            finished = True
         finally:
-            self._shutdown()
+            self._shutdown(finished)
         return [self._finals[i] for i in range(self._n)]
 
     @property
@@ -377,7 +429,8 @@ class ShardSupervisor:
     def _broadcast(self, batch) -> None:
         self._global_batch += 1
         raw = BatchSender.raw(batch)
-        self._replay.append(raw)
+        if self._policy.max_restarts:
+            self._replay.append(raw)
         cap = self._policy.replay_window
         if (
             self._journal is not None
@@ -654,6 +707,8 @@ class ShardSupervisor:
         exhausted.
         """
         i = down.index
+        if not self._policy.max_restarts:
+            raise _fail_fast(down) from None
         while True:
             if down.tb:
                 self._last_tb = down.tb
@@ -834,7 +889,7 @@ class ShardSupervisor:
     def _spawn(self, i: int) -> None:
         client = None if self._degraded[i] else self._sender.client(i)
         proc = self._ctx.Process(
-            target=_supervised_worker,
+            target=_shard_worker,
             args=(
                 self._in_queues[i],
                 self._out_queue,
@@ -869,25 +924,27 @@ class ShardSupervisor:
         queue; descriptors are reclaimed by the revoke that follows.
         """
         old = self._in_queues[i]
-        self._in_queues[i] = self._ctx.Queue(maxsize=self._queue_depth)
+        self._in_queues[i] = self._ctx.Queue(maxsize=_QUEUE_DEPTH)
         try:
             old.cancel_join_thread()
             old.close()
         except Exception:  # pragma: no cover - teardown best effort
             pass
 
-    def _shutdown(self) -> None:
-        for i, proc in enumerate(self._procs):
-            if proc is None:
-                continue
-            try:
-                self._in_queues[i].put_nowait(None)
-            except Exception:
-                pass
+    def _shutdown(self, finished: bool) -> None:
+        """Reap every worker, unlink the ring, close the queues.
+
+        After a finished run every worker has posted its final and is
+        exiting, so it is joined. After a failure the survivors may be
+        blocked on a full queue or still streaming, so they are
+        terminated at once: the run is over and nothing they hold is
+        wanted.
+        """
         for proc in self._procs:
             if proc is None:
                 continue
-            proc.join(timeout=5.0)
+            if finished:
+                proc.join(timeout=5.0)
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5.0)
@@ -901,6 +958,21 @@ class ShardSupervisor:
                 q.close()
             except Exception:  # pragma: no cover - teardown best effort
                 pass
+
+
+def _fail_fast(down: _WorkerDown) -> Exception:
+    """What a zero restart budget raises for ``down``.
+
+    The worker's own exception when it shipped one, with the worker's
+    traceback as a note, else :class:`~repro.errors.WorkerCrashedError`.
+    """
+    if down.exc is None:
+        return WorkerCrashedError(
+            f"{down} without reporting a result (max_restarts=0)"
+        )
+    if down.tb:
+        down.exc.add_note(f"worker traceback:\n{down.tb}")
+    return down.exc
 
 
 def _attribute_layer(down: _WorkerDown) -> str | None:

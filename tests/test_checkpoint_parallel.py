@@ -173,73 +173,85 @@ class _FakeDeadProc:
         return False
 
 
+def _dead_worker_supervisor(exitcode):
+    """A zero-budget supervisor whose only worker is already dead."""
+    import multiprocessing
+
+    from repro.streaming.supervisor import ShardSupervisor, Supervision
+
+    supervisor = ShardSupervisor(
+        multiprocessing.get_context(),
+        [None],
+        transport="queue",
+        batch_size=64,
+        policy=Supervision(max_restarts=0),
+    )
+    supervisor._procs = [_FakeDeadProc(exitcode)]
+    return supervisor
+
+
 class TestSilentWorkerDeath:
-    """Regression tests for the _collect_results hang: a worker that
-    dies before posting must raise, whatever its exit code."""
+    """Regression tests for the result-wait hang: a worker that dies
+    before posting must fail the run, whatever its exit code."""
 
     @pytest.mark.timeout(30)
     def test_clean_exit_without_result_raises_instead_of_hanging(self):
         """exitcode 0 + no result used to spin on out_queue.get forever."""
-        import multiprocessing
-
-        from repro.core.parallel import _collect_results
         from repro.errors import WorkerCrashedError
 
-        out_queue = multiprocessing.get_context().Queue()
-        with pytest.raises(WorkerCrashedError, match="exitcode 0"):
-            _collect_results(out_queue, [_FakeDeadProc(exitcode=0)])
+        supervisor = _dead_worker_supervisor(exitcode=0)
+        try:
+            with pytest.raises(WorkerCrashedError, match="exitcode 0"):
+                supervisor._finish()
+        finally:
+            supervisor._shutdown(False)
 
     @pytest.mark.timeout(30)
     def test_nonzero_exit_without_result_raises(self):
-        import multiprocessing
-
-        from repro.core.parallel import _collect_results
         from repro.errors import WorkerCrashedError
 
-        out_queue = multiprocessing.get_context().Queue()
-        with pytest.raises(WorkerCrashedError, match="exitcode -9"):
-            _collect_results(out_queue, [_FakeDeadProc(exitcode=-9)])
+        supervisor = _dead_worker_supervisor(exitcode=-9)
+        try:
+            with pytest.raises(WorkerCrashedError, match="exitcode -9"):
+                supervisor._finish()
+        finally:
+            supervisor._shutdown(False)
 
     @pytest.mark.timeout(30)
     def test_posted_result_wins_over_dead_process(self):
         """A worker that posted and then exited is not a crash: the
-        grace polls give its queue write time to surface."""
-        import multiprocessing
-
-        from repro.core.parallel import _collect_results
-
-        out_queue = multiprocessing.get_context().Queue()
-        out_queue.put((0, ("ok", {})))
-        assert _collect_results(out_queue, [_FakeDeadProc(exitcode=0)]) == [
-            (0, ("ok", {}))
-        ]
+        grace poll gives its queue write time to surface."""
+        supervisor = _dead_worker_supervisor(exitcode=0)
+        try:
+            supervisor._out_queue.put(("done", 0, 0, ("ok", {}, None)))
+            supervisor._finish()
+            assert supervisor._finals == {0: {}}
+        finally:
+            supervisor._shutdown(False)
 
     @pytest.mark.timeout(60)
     def test_end_to_end_clean_exit_worker_detected(
         self, small_er_graph, monkeypatch
     ):
-        """A full count() whose worker exits cleanly without reporting
-        must fail with WorkerCrashedError, not stall."""
+        """A full count() whose workers read the whole stream and then
+        exit cleanly without reporting must fail with
+        WorkerCrashedError, not stall."""
         import multiprocessing
+        import os
 
-        from repro.core import parallel
         from repro.errors import WorkerCrashedError
+        from repro.streaming.supervisor import EstimatorShardProgram
 
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("monkeypatched worker body needs fork inheritance")
 
-        def silent_worker(in_queue, out_queue, index, num, seed_seq, *rest):
-            while in_queue.get() is not None:
-                pass  # drain, then exit 0 without posting
+        def exit_before_posting(self):
+            os._exit(0)
 
-        monkeypatch.setattr(parallel, "_worker_loop", silent_worker)
+        monkeypatch.setattr(EstimatorShardProgram, "finish", exit_before_posting)
         edges, _ = small_er_graph
-        # Queue transport: the stub worker bypasses TransportFeed and
-        # would never release shm ring slots.
-        counter = ParallelTriangleCounter(
-            100, workers=2, seed=0, transport="queue"
-        )
-        with pytest.raises(WorkerCrashedError):
+        counter = ParallelTriangleCounter(100, workers=2, seed=0)
+        with pytest.raises(WorkerCrashedError, match="exitcode 0"):
             counter.count(edges[:100], batch_size=64)
 
 

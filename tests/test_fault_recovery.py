@@ -8,7 +8,9 @@ The self-healing contract has four legs, each drilled here with
   snapshot with bounded replay, and the final report is bit-identical
   to an uninterrupted run (with a :class:`WorkerRestartedWarning` and
   zero leaked ``/dev/shm`` segments). Exhausting the restart budget
-  raises :class:`RetryExhaustedError` carrying the last traceback;
+  raises :class:`RetryExhaustedError` carrying the last traceback. At
+  the default zero budget the first failure ends the run instead: the
+  worker's own exception, or :class:`WorkerCrashedError`;
 - follow-mode sources -- read failures retry with backoff, rotation
   and truncation reopen from offset zero, and unparseable lines are
   scrubbed, all without ending the stream;
@@ -28,9 +30,11 @@ restrict which transports the multiprocess legs cover; by default both
 run wherever shared memory exists.
 """
 
+import contextlib
 import glob
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +49,7 @@ from repro.errors import (
     RetryExhaustedError,
     SourceRetryWarning,
     SourceRotatedWarning,
+    WorkerCrashedError,
     WorkerRestartedWarning,
 )
 from repro.generators import holme_kim
@@ -189,7 +194,7 @@ def _sharded_results(transport, **kwargs):
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
 class TestSupervisedRecovery:
-    """Faulted supervised runs end bit-identical to clean unsupervised ones."""
+    """Faulted runs with a restart budget end bit-identical to clean runs."""
 
     @pytest.mark.timeout(120)
     def test_sigkilled_worker_is_respawned_bit_identically(self, transport):
@@ -287,14 +292,6 @@ class TestSupervisedRecovery:
         assert "InjectedFaultError" in error.last_traceback
         assert own_segments() == []
 
-    @pytest.mark.timeout(120)
-    def test_unsupervised_default_still_fails_fast(self, transport):
-        """max_restarts=0 with no plan/deadline keeps the legacy
-        die-on-first-crash behaviour (supervision is opt-in)."""
-        pipe = ShardedPipeline(
-            ["count"], workers=2, num_estimators=64, seed=1, transport=transport
-        )
-        assert not pipe._supervised
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -316,6 +313,108 @@ class TestSupervisedParallelCounter:
         assert_states_equal(baseline, recovered)
         assert counter.last_restarts == [0, 1]
         assert own_segments() == []
+
+
+# ---------------------------------------------------------------------------
+# zero restart budget: the first worker failure ends the run
+# ---------------------------------------------------------------------------
+
+def _default_budget_run(front_end, transport, **kwargs):
+    """A two-worker run of ``front_end`` at the default ``max_restarts=0``."""
+    if front_end == "sharded":
+        pipe = ShardedPipeline(
+            ["count"], workers=2, num_estimators=64, seed=1,
+            transport=transport, **kwargs,
+        )
+        pipe.run(EDGES, batch_size=32)
+    else:
+        counter = ParallelTriangleCounter(
+            64, workers=2, seed=1, transport=transport, **kwargs
+        )
+        counter.count(EDGES, batch_size=32)
+
+
+@contextlib.contextmanager
+def _fails_without_restarting():
+    """The run inside must not respawn a worker nor leak a segment."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    restarted = [w for w in caught if issubclass(w.category, WorkerRestartedWarning)]
+    assert restarted == []
+    assert own_segments() == []
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+@pytest.mark.parametrize("front_end", ["sharded", "counter"])
+class TestZeroBudget:
+    @pytest.mark.timeout(60)
+    def test_worker_exception_keeps_its_traceback(self, front_end, transport):
+        with _fails_without_restarting():
+            with pytest.raises(InjectedFaultError) as excinfo:
+                _default_budget_run(
+                    front_end, transport, fault_plan=FaultPlan.parse("exc:w0@b1")
+                )
+        notes = getattr(excinfo.value, "__notes__", [])
+        assert any("worker traceback" in note for note in notes)
+
+    @pytest.mark.timeout(60)
+    def test_killed_worker_raises_worker_crashed(self, front_end, transport):
+        with _fails_without_restarting():
+            with pytest.raises(WorkerCrashedError, match="worker 0 died"):
+                _default_budget_run(
+                    front_end, transport, fault_plan=FaultPlan.parse("kill:w0@b1")
+                )
+
+    @pytest.mark.timeout(60)
+    def test_silent_exit_raises_worker_crashed(
+        self, front_end, transport, monkeypatch
+    ):
+        """A worker that exits 0 mid-stream, posting nothing, fails the
+        run promptly instead of leaving the parent waiting on it."""
+        import multiprocessing
+
+        from repro.streaming.supervisor import EstimatorShardProgram
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("monkeypatched worker body needs fork inheritance")
+
+        def exit_silently(self, batch):
+            os._exit(0)
+
+        monkeypatch.setattr(EstimatorShardProgram, "consume", exit_silently)
+        start = time.monotonic()
+        with _fails_without_restarting():
+            with pytest.raises(WorkerCrashedError, match="exitcode 0"):
+                _default_budget_run(front_end, transport)
+        assert time.monotonic() - start < 30
+
+
+def test_zero_budget_takes_no_snapshots(monkeypatch):
+    from repro.streaming.supervisor import ShardSupervisor
+
+    def no_sync(self):
+        raise AssertionError("snapshot barrier under a zero restart budget")
+
+    monkeypatch.setattr(ShardSupervisor, "_sync", no_sync)
+    _sharded_results(TRANSPORTS[0], snapshot_every=1)
+
+
+@pytest.mark.parametrize("front_end", [ShardedPipeline, ParallelTriangleCounter])
+@pytest.mark.parametrize("bad", [
+    {"max_restarts": -1},
+    {"worker_deadline": 0},
+    {"snapshot_every": -1},
+])
+def test_bad_supervision_policy_rejected_at_construction(front_end, bad):
+    first = ["count"] if front_end is ShardedPipeline else 64
+    with pytest.raises(InvalidParameterError, match=next(iter(bad))):
+        front_end(first, **bad)
+
+
+def test_bad_replay_window_rejected_at_construction():
+    with pytest.raises(InvalidParameterError, match="replay_window"):
+        ShardedPipeline(["count"], replay_window=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from repro.streaming import (
     derive_shard_seed,
     shard_sizes,
 )
-from repro.streaming.sharded import _build_estimators, _consume
 from repro.streaming.source import as_source
+from repro.streaming.supervisor import EstimatorShardProgram
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -50,12 +50,15 @@ def stream_array():
 
 
 def _simulate(sharded: ShardedPipeline, arr, batch_size):
-    """Run the sharded plan sequentially in-process and merge."""
+    """Run the sharded plan sequentially in-process and merge the live
+    estimators (no state round-trip, unlike the parent's merge)."""
     per_worker = []
     for specs in sharded.worker_specs():
-        pairs = _build_estimators(specs)
-        _consume(pairs, as_source(arr).batches(batch_size))
-        per_worker.append(dict(pairs))
+        program = EstimatorShardProgram(specs)
+        program.build()
+        for batch in as_source(arr).batches(batch_size):
+            program.consume(batch)
+        per_worker.append(dict(program._pairs))
     merged = {}
     for name in sharded.names:
         for worker in per_worker:
@@ -164,6 +167,17 @@ class TestExecution:
         assert report["count"].results == ESTIMATORS.get("count").report(
             merged["count"]
         )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_io_seconds_times_the_parent_read(self, stream_array, tmp_path, workers):
+        from repro.graph import write_edge_list
+
+        path = tmp_path / "g.edges"
+        write_edge_list(str(path), [tuple(e) for e in stream_array.tolist()])
+        sharded = ShardedPipeline(["count"], workers=workers, num_estimators=32, seed=5)
+        report = sharded.run(str(path), batch_size=self.BATCH)
+        assert report.edges == stream_array.shape[0]
+        assert 0.0 < report.io_seconds <= report.seconds
 
     def test_exact_estimator_with_more_workers_than_pool(self, stream_array):
         from repro.exact import count_triangles
