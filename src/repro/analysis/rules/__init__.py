@@ -7,10 +7,11 @@ A rule module defines one check function and registers it:
         ...
 
 Adding a rule is: create ``r0xx_name.py`` beside the existing ones,
-register with the next free id, import it below, and give it fixture
+register with the next unused id, import it below, and give it fixture
 coverage in ``tests/test_analysis.py`` (at least two seeded violations
-plus a clean counterpart). The runner handles selection, suppression,
-and output; rules only emit findings.
+plus a clean counterpart). A retired id (R003) is never reused:
+``# repro: allow[R00x]`` suppressions name rules by id. The runner
+handles selection, suppression, and output; rules only emit findings.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ def rule(rule_id: str, title: str) -> Callable:
 from . import (  # noqa: E402  (imports must follow the decorator definition)
     r001_checkpoint,
     r002_rng,
-    r003_backend,
     r004_lifecycle,
     r005_iteration,
     r006_registry,
@@ -61,7 +61,6 @@ from . import (  # noqa: E402  (imports must follow the decorator definition)
 del (
     r001_checkpoint,
     r002_rng,
-    r003_backend,
     r004_lifecycle,
     r005_iteration,
     r006_registry,

@@ -21,10 +21,10 @@ estimator state no matter how long the stream is. ``pipeline``
 fans one stream pass out to any set of estimators from the registry
 (``--estimator`` choices below); ``--engine`` choices likewise come
 from the engine registry, so out-of-tree registrations appear
-automatically. Every subcommand takes ``--backend`` to pick the kernel
-backend (``numba`` JIT vs the pure-NumPy reference; results are
-bit-identical either way). ``pipeline`` also carries the production
-knobs: ``--workers`` shards every estimator pool across processes over
+automatically. ``count``, ``transitivity``, ``sample`` and ``exact``
+stream through the same :class:`~repro.streaming.Pipeline` pass as
+``pipeline``, so they reject signed input the same way. ``pipeline``
+also carries the production knobs: ``--workers`` shards every estimator pool across processes over
 one stream read (``--transport`` chooses how batches reach them:
 zero-copy shared memory or pickled queues), and ``--checkpoint`` /
 ``--checkpoint-every`` /
@@ -38,8 +38,8 @@ it follows a *growing* file (or stdin) and emits a snapshot of every
 estimator's current results each ``--every`` batches while the stream
 keeps flowing, with the same checkpoint/resume knobs. ``check`` is the
 repo's own static analyzer: it runs the :mod:`repro.analysis` rules
-(checkpoint completeness, RNG discipline, backend parity, resource
-lifecycle, iteration determinism, registry conformance) over source
+(checkpoint completeness, RNG discipline, resource lifecycle,
+iteration determinism, registry conformance) over source
 trees and exits nonzero on findings.
 """
 
@@ -50,13 +50,11 @@ import json
 import os
 import signal
 import sys
-import time
 from collections.abc import Sequence
 
 import numpy as np
 
 from .baselines.exact_stream import ExactStreamingCounter
-from .core.backend import set_backend
 from .core.transitivity import TransitivityEstimator
 from .core.triangle_count import TriangleCounter
 from .core.triangle_sample import TriangleSampler
@@ -109,19 +107,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "marking insertion vs deletion. Requires deletion-capable "
         "estimators (triest-fd, dynamic-sampler)",
     )
-    _add_backend(parser)
-
-
-def _add_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=("auto", "numpy", "numba"),
-        default=None,
-        help="kernel backend: 'numba' JIT-compiles the hot kernels "
-        "(bit-identical results, needs numba installed), 'numpy' is the "
-        "pure-NumPy reference, 'auto' picks numba when importable "
-        "(default: $REPRO_BACKEND, then auto)",
-    )
 
 
 def _add_journal(parser: argparse.ArgumentParser) -> None:
@@ -159,17 +144,22 @@ def _source(args: argparse.Namespace) -> FileSource:
     return FileSource(args.input, deduplicate=args.dedup, signed=args.signed)
 
 
-def _stream(counter, source: FileSource, batch_size: int) -> float:
-    """Drive ``counter`` over the lazy source; return elapsed seconds."""
-    start = time.perf_counter()
-    for batch in source.batches(batch_size):
-        counter.update_batch(batch)
-    return time.perf_counter() - start
+def _run_one(args: argparse.Namespace, name: str, estimator) -> float:
+    """Stream the input through ``estimator`` alone; return the pass time.
+
+    The one-estimator :class:`Pipeline` applies the same guards as the
+    ``pipeline`` subcommand (signed input needs deletion-capable
+    estimators). Its reporter is a no-op: the caller prints from the
+    estimator itself, and the registry's ``sample`` reporter would draw
+    a triangle from the sampler's generator.
+    """
+    pipeline = Pipeline([(name, estimator)], reporters={name: lambda _: {}})
+    return pipeline.run(_source(args), batch_size=args.batch_size).seconds
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
     counter = TriangleCounter(args.estimators, engine=args.engine, seed=args.seed)
-    elapsed = _stream(counter, _source(args), args.batch_size)
+    elapsed = _run_one(args, "count", counter)
     edges = counter.edges_seen
     print(f"edges: {edges:,}")
     print(f"estimated triangles: {counter.estimate():,.1f}")
@@ -181,7 +171,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_transitivity(args: argparse.Namespace) -> int:
     est = TransitivityEstimator(args.estimators, args.wedge_estimators, seed=args.seed)
-    elapsed = _stream(est, _source(args), args.batch_size)
+    elapsed = _run_one(args, "transitivity", est)
     print(f"edges: {est.edges_seen:,}")
     print(f"estimated triangles: {est.triangle_estimate():,.1f}")
     print(f"estimated wedges: {est.wedge_estimate():,.1f}")
@@ -192,7 +182,7 @@ def _cmd_transitivity(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     sampler = TriangleSampler(args.estimators, seed=args.seed)
-    _stream(sampler, _source(args), args.batch_size)
+    _run_one(args, "sample", sampler)
     triangles = sampler.sample(args.k)
     print(f"{args.k} uniform triangles (with replacement):")
     for tri in triangles:
@@ -202,7 +192,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     counter = ExactStreamingCounter()
-    elapsed = _stream(counter, _source(args), args.batch_size)
+    elapsed = _run_one(args, "exact", counter)
     print(f"edges: {counter.edges_seen:,}")
     print(f"triangles: {counter.triangles:,}")
     print(f"wedges: {counter.wedges:,}")
@@ -216,17 +206,26 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     # One lazy pass: per-batch degree counts come from a vectorized
     # np.unique over the columnar batch; only the (much smaller) set of
     # distinct vertices per batch touches Python. The edge list itself
-    # is never materialized.
+    # is never materialized. A signed stream reports its final graph:
+    # each event counts by its sign, so a deleted edge leaves no trace
+    # and a vertex whose net degree drops to zero is gone.
     degrees: dict[int, int] = {}
     edges = 0
     for batch in _source(args).batches(args.batch_size):
-        edges += len(batch)
-        verts, counts = np.unique(batch.array, return_counts=True)
+        signs = batch.signs
+        if signs is None:
+            signs = np.ones(len(batch), dtype=np.int64)
+        edges += int(signs.sum())
+        verts, inverse = np.unique(batch.array, return_inverse=True)
+        counts = np.bincount(
+            inverse.ravel(), weights=np.repeat(signs, 2), minlength=verts.shape[0]
+        ).astype(np.int64)
         for vertex, count in zip(verts.tolist(), counts.tolist()):
             degrees[vertex] = degrees.get(vertex, 0) + count
-    print(f"vertices: {len(degrees):,}")
+    present = [degree for degree in degrees.values() if degree]
+    print(f"vertices: {len(present):,}")
     print(f"edges: {edges:,}")
-    print(f"max degree: {max(degrees.values(), default=0):,}")
+    print(f"max degree: {max(present, default=0):,}")
     return 0
 
 
@@ -535,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
         "each line carries a +1/-1 third column or a +/- prefix marking "
         "insertion vs deletion; pair with deletion-capable estimators",
     )
-    _add_backend(p_watch)
     p_watch.add_argument(
         "--estimator",
         action="append",
@@ -617,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the repo's static-analysis rules",
         description="AST-based invariant checks over Python sources: "
         "checkpoint-state completeness (R001), RNG discipline (R002), "
-        "backend kernel parity (R003), resource lifecycle (R004), "
+        "resource lifecycle (R004), "
         "nondeterministic iteration (R005), and registry/protocol "
         "conformance (R006). Suppress a single line with "
         "'# repro: allow[R00x]'; unused suppressions are themselves "
@@ -653,9 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--list-rules", action="store_true", help="list rule ids and exit"
     )
-    # backend="numpy" keeps main()'s set_backend from importing numba:
-    # the analyzer never executes a kernel.
-    p_check.set_defaults(func=_cmd_check, backend="numpy")
+    p_check.set_defaults(func=_cmd_check)
     return parser
 
 
@@ -663,10 +659,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # Activate before any estimator is built so even construction-time
-        # kernel calls go through the requested backend. An explicit
-        # --backend numba on a numba-less box fails loudly here.
-        set_backend(getattr(args, "backend", None))
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,111 +1,42 @@
-"""Kernel backend dispatch: compiled hot loops with a NumPy reference.
+"""The hot kernels of the vectorized engine, as plain NumPy functions.
 
-The output-sensitive engine (PR 5) made per-batch cost ``O(touched)``;
-what remains at paper-scale pools is pure dispatch overhead -- a dozen
-NumPy calls per step, each allocating temporaries and re-walking its
-inputs. This module is the seam that removes it without forking the
-engine: every hot kernel of :class:`~repro.core.vectorized
+Every hot loop of :class:`~repro.core.vectorized
 .VectorizedTriangleCounter`, :class:`~repro.core.watch_index.WatchIndex`
-and :class:`~repro.streaming.batch.BatchContext` is expressed as a named
-operation on a :class:`Backend` object, with two interchangeable
-implementations:
-
-- ``numpy`` -- the reference. The exact array expressions the modules
-  used inline before this seam existed, so behaviour (including every
-  bit of output) is unchanged by construction;
-- ``numba`` -- ``@njit``-compiled fused loops (one pass, no
-  temporaries), built lazily from :mod:`repro.core._backend_numba` the
-  first time the backend is requested. Optional: when Numba is not
-  installed the numpy backend serves everything and nothing else
-  changes.
-
-**Bit-identity contract.** A backend is *not allowed* to change
-results. All randomness stays in the engine's own NumPy generator --
-kernels only consume already-drawn arrays -- and every compiled kernel
-reproduces its reference's exact integer arithmetic and IEEE-754
+and :class:`~repro.streaming.batch.BatchContext` -- sorted lookups,
+range expansion, packed-key index sorts, edge-key packing, wedge
+geometry, phi-from-draws and the step-2 totals -- lives here as one
+named function with a documented output contract. All randomness stays
+in the engine's own NumPy generator: kernels only consume
+already-drawn arrays, with exact integer arithmetic and IEEE-754
 float64 operations (multiply then C-truncation to int64), so the
 golden-state fingerprints and the hypothesis ``sparse == dense`` suites
-hold verbatim under either backend. The parity test suite
-(``tests/test_backend.py``, plus the backend-parametrized legs of
-``tests/test_vectorized_sparse.py``) asserts this kernel by kernel and
-end to end.
-
-Selection: ``REPRO_BACKEND=numpy|numba|auto`` in the environment, the
-``--backend`` CLI flag (which calls :func:`set_backend`), or the
-default ``auto`` -- numba when importable, numpy otherwise. Asking for
-``numba`` explicitly when it is unavailable raises; ``auto`` falls back
-silently. :func:`use` is a context manager for test parametrization.
+pin their behaviour end to end. ``tests/test_backend.py`` pins them
+kernel by kernel.
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
 
 import numpy as np
 
 from ..errors import InvalidParameterError
 
 __all__ = [
-    "Backend",
-    "active",
-    "available_backends",
-    "get_backend",
-    "numba_available",
-    "resolve_name",
+    "expand_ranges",
+    "lookup_sorted",
+    "pack2_index_sort",
+    "pack_edge_keys",
+    "pack_index_sort",
+    "pack_sort_pairs",
+    "packed_range_lookup",
+    "phi_from_draws",
     "set_backend",
-    "use",
+    "sorted_range_lookup",
+    "step2_totals",
+    "tail_probe",
+    "wedge_geometry",
 ]
 
-_ENV_VAR = "REPRO_BACKEND"
 _EMPTY = np.empty(0, dtype=np.int64)
-
-#: The operations every backend must provide; the single source of
-#: truth shared by the numpy builder, the numba builder, and the
-#: kernel-parity test suite.
-KERNEL_NAMES = (
-    "lookup_sorted",
-    "expand_ranges",
-    "packed_range_lookup",
-    "sorted_range_lookup",
-    "tail_probe",
-    "pack_index_sort",
-    "pack2_index_sort",
-    "pack_sort_pairs",
-    "pack_edge_keys",
-    "wedge_geometry",
-    "phi_from_draws",
-    "step2_totals",
-)
-
-
-class Backend:
-    """A named bundle of hot-kernel implementations.
-
-    Attributes are the callables listed in :data:`KERNEL_NAMES`; all
-    backends share one signature and one output contract per kernel
-    (documented on the numpy reference implementations below).
-    """
-
-    __slots__ = ("name", *KERNEL_NAMES)
-
-    def __init__(self, name: str, kernels: dict) -> None:
-        self.name = name
-        missing = [k for k in KERNEL_NAMES if k not in kernels]
-        if missing:
-            raise InvalidParameterError(
-                f"backend {name!r} is missing kernels: {missing}"
-            )
-        for kernel_name in KERNEL_NAMES:
-            setattr(self, kernel_name, kernels[kernel_name])
-
-    def __repr__(self) -> str:
-        return f"Backend({self.name!r})"
-
-
-# ----------------------------------------------------------------------
-# numpy reference implementations (the behavioural contract)
-# ----------------------------------------------------------------------
 
 #: Above this many queries, sort them first: binary search with sorted
 #: queries streams through the reference array instead of thrashing it
@@ -113,7 +44,7 @@ class Backend:
 _SORTED_QUERY_MIN = 8192
 
 
-def _np_lookup_sorted(queries, sorted_ref, values, offset=0):
+def lookup_sorted(queries, sorted_ref, values, offset=0):
     """``values[i] + offset`` where ``sorted_ref[i] == query`` else 0.
 
     ``sorted_ref`` must be non-empty; duplicate reference keys resolve
@@ -135,7 +66,7 @@ def _np_lookup_sorted(queries, sorted_ref, values, offset=0):
     return np.where(found, values[pos] + offset, 0)
 
 
-def _np_expand_ranges(lo, hi):
+def expand_ranges(lo, hi):
     """Expand per-query ranges into ``(positions, query indices)``.
 
     Concatenates ``arange(lo[i], hi[i])`` for every query ``i`` (in
@@ -156,7 +87,7 @@ def _np_expand_ranges(lo, hi):
     return positions, np.repeat(query_idx, counts)
 
 
-def _np_packed_range_lookup(packed, shift, queries):
+def packed_range_lookup(packed, shift, queries):
     """Slots of all ``packed`` entries whose key is in sorted ``queries``.
 
     ``packed`` holds sorted ``(key << shift) | slot`` values; returns
@@ -164,13 +95,13 @@ def _np_packed_range_lookup(packed, shift, queries):
     """
     lo = np.searchsorted(packed, queries << shift)
     hi = np.searchsorted(packed, (queries + 1) << shift)
-    span, qidx = _np_expand_ranges(lo, hi)
+    span, qidx = expand_ranges(lo, hi)
     if span.shape[0] == 0:
         return _EMPTY, _EMPTY
     return packed[span] & ((np.int64(1) << shift) - 1), qidx
 
 
-def _np_sorted_range_lookup(sorted_keys, queries):
+def sorted_range_lookup(sorted_keys, queries):
     """Positions of all ``sorted_keys`` entries matching sorted ``queries``.
 
     Returns ``(positions, query_indices)`` in query-major order; the
@@ -178,10 +109,10 @@ def _np_sorted_range_lookup(sorted_keys, queries):
     """
     lo = np.searchsorted(sorted_keys, queries, side="left")
     hi = np.searchsorted(sorted_keys, queries, side="right")
-    return _np_expand_ranges(lo, hi)
+    return expand_ranges(lo, hi)
 
 
-def _np_tail_probe(queries, tail_keys):
+def tail_probe(queries, tail_keys):
     """Match each tail key against sorted unique ``queries``.
 
     Returns ``(tail_indices, query_indices)`` for the tail entries whose
@@ -195,7 +126,7 @@ def _np_tail_probe(queries, tail_keys):
     return np.flatnonzero(hit), pos[hit]
 
 
-def _np_pack_index_sort(values, shift):
+def pack_index_sort(values, shift):
     """Sorted ``(values[i] << shift) | i`` -- the stable-sort-by-pack trick.
 
     ``shift`` must exceed ``bit_length(len(values) - 1)`` so the index
@@ -207,7 +138,7 @@ def _np_pack_index_sort(values, shift):
     return packed
 
 
-def _np_pack2_index_sort(hi_vals, lo_vals, lo_shift, idx_shift):
+def pack2_index_sort(hi_vals, lo_vals, lo_shift, idx_shift):
     """Sorted ``(((hi << lo_shift) | lo) << idx_shift) | i`` packing."""
     packed = (((hi_vals << lo_shift) | lo_vals) << idx_shift) | np.arange(
         hi_vals.shape[0], dtype=np.int64
@@ -216,19 +147,19 @@ def _np_pack2_index_sort(hi_vals, lo_vals, lo_shift, idx_shift):
     return packed
 
 
-def _np_pack_sort_pairs(keys, slots, shift):
+def pack_sort_pairs(keys, slots, shift):
     """Sorted ``(keys << shift) | slots`` (key-major, slot-minor)."""
     packed = (keys << shift) | slots
     packed.sort()
     return packed
 
 
-def _np_pack_edge_keys(a, b):
+def pack_edge_keys(a, b):
     """Canonical packed edge keys ``(min << 32) | max`` per pair."""
     return (np.minimum(a, b) << np.int64(32)) | np.maximum(a, b)
 
 
-def _np_wedge_geometry(r1u, r1v, r2u, r2v):
+def wedge_geometry(r1u, r1v, r2u, r2v):
     """Shared vertex, outer endpoints, and closing key of each wedge.
 
     The shared vertex is the endpoint ``r1`` and ``r2`` have in common;
@@ -242,21 +173,21 @@ def _np_wedge_geometry(r1u, r1v, r2u, r2v):
     return shared, out1, out2, keys
 
 
-def _np_phi_from_draws(draws, totals):
+def phi_from_draws(draws, totals):
     """Algorithm 3's ``randInt(1, total)`` from uniform float64 draws.
 
     ``1 + int64(draw * total)`` clamped to ``total`` -- the clamp closes
     the rounding hole where a draw close to 1 against a large total
     rounds the product up to ``total`` itself (see the phi-clamp
-    regression tests). Exact float64 multiply + C truncation, so every
-    backend reproduces it bit for bit.
+    regression tests). Exact float64 multiply + C truncation, so the
+    result is reproducible bit for bit.
     """
     phi = 1 + (draws * totals).astype(np.int64)
     np.minimum(phi, totals, out=phi)
     return phi
 
 
-def _np_step2_totals(deg_bx, deg_by, beta_x, beta_y, c_minus):
+def step2_totals(deg_bx, deg_by, beta_x, beta_y, c_minus):
     """Observation 3.6's candidate counts: ``(a, c_plus, total)``.
 
     ``a`` is the new-candidate count on the ``x`` side, ``c_plus`` the
@@ -268,159 +199,14 @@ def _np_step2_totals(deg_bx, deg_by, beta_x, beta_y, c_minus):
     return a, c_plus, c_minus + c_plus
 
 
-def _build_numpy_backend() -> Backend:
-    return Backend(
-        "numpy",
-        {
-            "lookup_sorted": _np_lookup_sorted,
-            "expand_ranges": _np_expand_ranges,
-            "packed_range_lookup": _np_packed_range_lookup,
-            "sorted_range_lookup": _np_sorted_range_lookup,
-            "tail_probe": _np_tail_probe,
-            "pack_index_sort": _np_pack_index_sort,
-            "pack2_index_sort": _np_pack2_index_sort,
-            "pack_sort_pairs": _np_pack_sort_pairs,
-            "pack_edge_keys": _np_pack_edge_keys,
-            "wedge_geometry": _np_wedge_geometry,
-            "phi_from_draws": _np_phi_from_draws,
-            "step2_totals": _np_step2_totals,
-        },
-    )
+def set_backend(name: str | None) -> None:
+    """Accept ``None`` and do nothing: there is one kernel implementation.
 
-
-# ----------------------------------------------------------------------
-# registry and selection
-# ----------------------------------------------------------------------
-_BACKENDS: dict[str, Backend] = {}
-_ACTIVE: Backend | None = None
-
-
-def numba_available() -> bool:
-    """Whether the numba package is importable (no import side effects)."""
-    import importlib.util
-
-    try:
-        return importlib.util.find_spec("numba") is not None
-    except (ImportError, ValueError):  # pragma: no cover - exotic paths
-        return False
-
-
-def available_backends() -> tuple[str, ...]:
-    """The backend names :func:`get_backend` can serve right now."""
-    return ("numpy", "numba") if numba_available() else ("numpy",)
-
-
-def resolve_name(name: str | None = None) -> str:
-    """Resolve a requested backend name to a concrete one.
-
-    ``None`` defers to the ``REPRO_BACKEND`` environment variable, then
-    to ``auto``. ``auto`` picks numba when importable, numpy otherwise.
-    An explicit ``numba`` request on a numba-less environment raises --
-    silent degradation is reserved for ``auto``.
+    Kept for callers written when a second one could be selected; any
+    other value raises :class:`~repro.errors.InvalidParameterError`.
     """
-    if name is None:
-        name = os.environ.get(_ENV_VAR) or "auto"
-    name = name.strip().lower()
-    if name == "auto":
-        return "numba" if numba_available() else "numpy"
-    if name not in ("numpy", "numba"):
+    if name is not None:
         raise InvalidParameterError(
-            f"unknown backend {name!r}; choose numpy, numba, or auto"
+            f"unknown kernel backend {name!r}; the NumPy kernels are the "
+            "only ones"
         )
-    if name == "numba" and not numba_available():
-        raise InvalidParameterError(
-            "backend 'numba' requested but numba is not installed; "
-            "pip install 'repro[numba]' or use REPRO_BACKEND=numpy"
-        )
-    return name
-
-
-def get_backend(name: str | None = None) -> Backend:
-    """Build (once) and return the backend for ``name`` (default: auto).
-
-    The numba backend compiles nothing here -- kernels JIT on first
-    call -- but the build does import numba, so an ``auto`` resolution
-    falls back to numpy if that import fails in a broken install.
-    """
-    resolved = resolve_name(name)
-    backend = _BACKENDS.get(resolved)
-    if backend is not None:
-        return backend
-    if resolved == "numpy":
-        backend = _build_numpy_backend()
-    else:
-        try:
-            from . import _backend_numba
-
-            backend = Backend("numba", _backend_numba.build_kernels())
-        except Exception as exc:
-            if name is not None and name.strip().lower() == "numba":
-                raise InvalidParameterError(
-                    f"backend 'numba' failed to initialize: {exc}"
-                ) from exc
-            # auto resolution: a broken numba install degrades to numpy.
-            backend = get_backend("numpy")
-            _BACKENDS[resolved] = backend
-            return backend
-    _BACKENDS[resolved] = backend
-    return backend
-
-
-def active() -> Backend:
-    """The process-wide active backend (resolved lazily on first use)."""
-    global _ACTIVE
-    if _ACTIVE is None:
-        _ACTIVE = get_backend(None)
-    return _ACTIVE
-
-
-def set_backend(name: str | None) -> Backend:
-    """Set the process-wide backend; returns the activated backend.
-
-    ``None`` re-resolves from the environment (the CLI's default).
-    """
-    global _ACTIVE
-    _ACTIVE = get_backend(name)
-    return _ACTIVE
-
-
-@contextmanager
-def use(name: str | None):
-    """Temporarily activate a backend (test parametrization helper)."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = get_backend(name)
-    try:
-        yield _ACTIVE
-    finally:
-        _ACTIVE = previous
-
-
-def warmup(backend: Backend | None = None) -> Backend:
-    """Force-compile every kernel on tiny inputs; returns the backend.
-
-    For the numba backend this is the cold-start JIT cost, paid here
-    instead of inside the first real batch (which would pollute
-    timing-sensitive callers); for numpy it is a cheap no-op pass that
-    doubles as a smoke test of the kernel contract.
-    """
-    b = backend or active()
-    i64 = np.array([0, 1], dtype=np.int64)
-    b.lookup_sorted(i64, np.array([0, 2], dtype=np.int64), i64, 1)
-    b.expand_ranges(np.array([0], dtype=np.int64), np.array([1], dtype=np.int64))
-    b.packed_range_lookup(np.array([2, 5], dtype=np.int64), np.int64(1), i64)
-    b.sorted_range_lookup(np.array([0, 1], dtype=np.int64), i64)
-    b.tail_probe(np.array([0, 3], dtype=np.int64), i64)
-    b.pack_index_sort(i64, np.int64(1))
-    b.pack2_index_sort(i64, i64, np.int64(1), np.int64(1))
-    b.pack_sort_pairs(i64, i64, np.int64(1))
-    b.pack_edge_keys(i64, np.array([2, 3], dtype=np.int64))
-    b.wedge_geometry(
-        np.array([0], dtype=np.int64),
-        np.array([1], dtype=np.int64),
-        np.array([1], dtype=np.int64),
-        np.array([2], dtype=np.int64),
-    )
-    b.phi_from_draws(np.array([0.5], dtype=np.float64), np.array([4], dtype=np.int64))
-    b.step2_totals(i64, i64, i64, i64, i64)
-    return b

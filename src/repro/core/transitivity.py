@@ -103,11 +103,16 @@ class TransitivityEstimator:
             raise InvalidParameterError(
                 f"num_triangle_estimators must be >= 1, got {num_triangle_estimators}"
             )
-        wedge_r = num_wedge_estimators or num_triangle_estimators
+        if num_wedge_estimators is None:
+            num_wedge_estimators = num_triangle_estimators
+        if num_wedge_estimators < 1:
+            raise InvalidParameterError(
+                f"num_wedge_estimators must be >= 1, got {num_wedge_estimators}"
+            )
         tau_seed = None if seed is None else seed * 2
         zeta_seed = None if seed is None else seed * 2 + 1
         self._triangles = TriangleCounter(num_triangle_estimators, seed=tau_seed)
-        self._wedges = WedgeCounter(wedge_r, seed=zeta_seed)
+        self._wedges = WedgeCounter(num_wedge_estimators, seed=zeta_seed)
 
     @property
     def edges_seen(self) -> int:

@@ -65,7 +65,7 @@ import numpy as np
 from ..errors import InvalidParameterError
 from ..streaming.batch import BatchContext, EdgeBatch
 from ..streaming.registry import register_engine
-from .backend import active as _kernel_backend
+from .backend import pack_edge_keys, phi_from_draws, step2_totals, wedge_geometry
 from .watch_index import WatchIndex
 
 __all__ = ["STATE_FIELDS", "VectorizedTriangleCounter"]
@@ -357,9 +357,8 @@ class VectorizedTriangleCounter:
         beta_x[new_mask] = ctx.deg_at_edge_u[new_j]
         beta_y[new_mask] = ctx.deg_at_edge_v[new_j]
 
-        kb = _kernel_backend()
         c_minus = self.c
-        a, c_plus, total = kb.step2_totals(
+        a, c_plus, total = step2_totals(
             ctx.final_degree(self.r1u),
             ctx.final_degree(self.r1v),
             beta_x,
@@ -374,7 +373,7 @@ class VectorizedTriangleCounter:
             # kernel clamps the float-rounding hole where random() close
             # to 1 against a large total rounds the product up to total
             # itself, which would push phi one past the contract.
-            phi[active] = kb.phi_from_draws(
+            phi[active] = phi_from_draws(
                 self._rng.random(int(active.sum())), total[active]
             )
         self.c = total
@@ -408,9 +407,7 @@ class VectorizedTriangleCounter:
         r1u, r1v = self.r1u[open_wedge], self.r1v[open_wedge]
         r2u, r2v = self.r2u[open_wedge], self.r2v[open_wedge]
         # Shared vertex of the wedge; outer endpoints form the closing edge.
-        shared, out1, out2, keys = _kernel_backend().wedge_geometry(
-            r1u, r1v, r2u, r2v
-        )
+        shared, out1, out2, keys = wedge_geometry(r1u, r1v, r2u, r2v)
         local = ctx.position_in_batch_keys(keys)
         closed = (local > 0) & (base + local > self.r2pos[open_wedge])
         if not closed.any():
@@ -564,7 +561,6 @@ class VectorizedTriangleCounter:
             r1u_c = self.r1u[cand]
             r1v_c = self.r1v[cand]
             c_minus = self.c[cand]
-        kb = _kernel_backend()
         beta_x = np.zeros(n_c, dtype=np.int64)
         beta_y = np.zeros(n_c, dtype=np.int64)
         if k:
@@ -576,7 +572,7 @@ class VectorizedTriangleCounter:
             deg_by_c = ctx.final_degree(r1v_c)
         # On the candidate path the endpoint batch degrees came for free
         # with the watch hits.
-        a, c_plus, total = kb.step2_totals(
+        a, c_plus, total = step2_totals(
             deg_bx_c, deg_by_c, beta_x, beta_y, c_minus
         )
         if full:
@@ -587,7 +583,7 @@ class VectorizedTriangleCounter:
         n = active.shape[0]
         if n == 0:
             return
-        phi = kb.phi_from_draws(self._rng.random(n), total[active])
+        phi = phi_from_draws(self._rng.random(n), total[active])
         replace = np.flatnonzero(phi > c_minus[active])
         if replace.shape[0] == 0:
             return
@@ -626,7 +622,7 @@ class VectorizedTriangleCounter:
         # are the two non-shared ones.
         out1 = np.where(use_x, r1v_r, r1u_r)
         out2 = new_r2u + new_r2v - target_v
-        self._wedge_watch.add(kb.pack_edge_keys(out1, out2), slots)
+        self._wedge_watch.add(pack_edge_keys(out1, out2), slots)
         if had_wedge:
             self._wedge_watch.note_stale(had_wedge)
 
@@ -640,7 +636,6 @@ class VectorizedTriangleCounter:
         active slot replaces). Consumes the generator exactly as the
         general path does.
         """
-        kb = _kernel_backend()
         remaining_u, remaining_v = ctx.remaining_degrees
         a = remaining_u[new_j]
         c_plus = a + remaining_v[new_j]
@@ -649,7 +644,7 @@ class VectorizedTriangleCounter:
         n = active.shape[0]
         if n == 0:
             return
-        phi = kb.phi_from_draws(self._rng.random(n), c_plus[active])
+        phi = phi_from_draws(self._rng.random(n), c_plus[active])
         # phi in [1, a]: the u-side EVENTB run; else the v-side run.
         new_j_a = new_j[active]
         a_r = a[active]
@@ -668,7 +663,7 @@ class VectorizedTriangleCounter:
         shared = np.where(use_x, r1u_a, r1v_a)
         out1 = np.where(use_x, r1v_a, r1u_a)
         out2 = new_r2u + new_r2v - shared
-        self._wedge_watch.add(kb.pack_edge_keys(out1, out2), active)
+        self._wedge_watch.add(pack_edge_keys(out1, out2), active)
 
     def _step3_sparse(self, ctx: BatchContext, base: int) -> None:
         """Step 3 via the wedge watch (or a dense scan when cheaper).
@@ -700,9 +695,7 @@ class VectorizedTriangleCounter:
         qidx = qidx[alive]
         r1u, r1v = self.r1u[slots], self.r1v[slots]
         r2u, r2v = self.r2u[slots], self.r2v[slots]
-        shared, out1, out2, keys = _kernel_backend().wedge_geometry(
-            r1u, r1v, r2u, r2v
-        )
+        shared, out1, out2, keys = wedge_geometry(r1u, r1v, r2u, r2v)
         # A hit is real when the slot's *current* closing key still is
         # the matched batch key (a stale entry's slot re-derives a
         # different key -- or the same one via its own live entry); the
@@ -745,7 +738,7 @@ class VectorizedTriangleCounter:
 
     def _closing_keys(self, slots: np.ndarray) -> np.ndarray:
         """Packed closing-edge keys of the open wedges at ``slots``."""
-        return _kernel_backend().wedge_geometry(
+        return wedge_geometry(
             self.r1u[slots], self.r1v[slots], self.r2u[slots], self.r2v[slots]
         )[3]
 

@@ -47,7 +47,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backend import active as _kernel_backend
+from .backend import (
+    expand_ranges,
+    pack_sort_pairs,
+    packed_range_lookup,
+    sorted_range_lookup,
+    tail_probe,
+)
 
 __all__ = ["WatchIndex"]
 
@@ -62,7 +68,7 @@ def _sort_pairs(keys: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, np.nda
     slot_bits = max(int(slots.max()).bit_length(), 1)
     if key_bits + slot_bits <= 63:
         shift = np.int64(slot_bits)
-        packed = _kernel_backend().pack_sort_pairs(keys, slots, shift)
+        packed = pack_sort_pairs(keys, slots, shift)
         return packed >> shift, packed & ((np.int64(1) << shift) - 1)
     order = np.argsort(keys, kind="stable")
     return keys[order], slots[order]
@@ -212,18 +218,17 @@ class WatchIndex:
                 q = query_keys.shape[0]
                 if q == 0:
                     return _EMPTY, _EMPTY
-        kb = _kernel_backend()
         slot_parts = []
         query_parts = []
         self._lookup_base(query_keys, slot_parts, query_parts)
         if self._run_keys.shape[0]:
-            span, idx = kb.sorted_range_lookup(self._run_keys, query_keys)
+            span, idx = sorted_range_lookup(self._run_keys, query_keys)
             if span.shape[0]:
                 slot_parts.append(self._run_slots[span])
                 query_parts.append(idx)
         if self._tail_size:
             tail_keys, tail_slots = self._tail_arrays()
-            tail_idx, pos_hit = kb.tail_probe(query_keys, tail_keys)
+            tail_idx, pos_hit = tail_probe(query_keys, tail_keys)
             if tail_idx.shape[0]:
                 slot_parts.append(tail_slots[tail_idx])
                 query_parts.append(pos_hit)
@@ -287,14 +292,13 @@ class WatchIndex:
     def _lookup_base(
         self, query_keys: np.ndarray, slot_parts: list, query_parts: list
     ) -> None:
-        kb = _kernel_backend()
         if self._offsets is not None:
             clipped = np.minimum(query_keys, self._offsets_hi)
-            span, idx = kb.expand_ranges(
+            span, idx = expand_ranges(
                 self._offsets[clipped], self._offsets[clipped + 1]
             )
         elif self._packed.shape[0]:
-            slots, idx = kb.packed_range_lookup(
+            slots, idx = packed_range_lookup(
                 self._packed, self._shift, query_keys
             )
             if slots.shape[0]:
@@ -302,7 +306,7 @@ class WatchIndex:
                 query_parts.append(idx)
             return
         elif self._base_keys.shape[0]:
-            span, idx = kb.sorted_range_lookup(self._base_keys, query_keys)
+            span, idx = sorted_range_lookup(self._base_keys, query_keys)
         else:
             return
         if span.shape[0] == 0:
@@ -329,7 +333,7 @@ class WatchIndex:
             # One sort over packed values, no gather, and range lookups
             # search the packed array directly.
             shift = np.int64(slot_bits)
-            self._packed = _kernel_backend().pack_sort_pairs(keys, slots, shift)
+            self._packed = pack_sort_pairs(keys, slots, shift)
             self._shift = shift
             self._base_keys = _EMPTY
             self._base_slots = _EMPTY

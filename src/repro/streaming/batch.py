@@ -264,17 +264,17 @@ def rebatch_arrays(
         yield np.concatenate(buffer) if len(buffer) > 1 else buffer[0]
 
 
-def _kernel_backend():
-    """The active kernel backend, imported lazily.
+def _kernels():
+    """The kernel module :mod:`repro.core.backend`, imported lazily.
 
     Deferred to call time (not module import) because
     ``repro.core.__init__`` imports :mod:`repro.core.parallel`, which
     imports this module -- an import-time hop into ``repro.core`` from
     here would make that cycle order-dependent.
     """
-    from ..core.backend import active
+    from ..core import backend
 
-    return active()
+    return backend
 
 
 def _lookup_sorted(
@@ -288,11 +288,11 @@ def _lookup_sorted(
 
     The shared binary-search kernel behind ``final_degree`` and
     ``position_in_batch`` (they must stay behaviorally identical for
-    the engines' bit-identity contract), dispatched through the active
-    backend. ``sorted_ref`` must be non-empty; duplicate reference keys
-    resolve to the first (the ``searchsorted`` left side).
+    the engines' bit-identity contract). ``sorted_ref`` must be
+    non-empty; duplicate reference keys resolve to the first (the
+    ``searchsorted`` left side).
     """
-    return _kernel_backend().lookup_sorted(queries, sorted_ref, values, offset)
+    return _kernels().lookup_sorted(queries, sorted_ref, values, offset)
 
 
 class BatchContext:
@@ -366,12 +366,12 @@ class BatchContext:
         # edge j). Sorting packed (vertex << bits) | event keys gives the
         # stable (vertex, time) order and the inverse permutation in one
         # quicksort: the low bits *are* the original event index.
-        kb = _kernel_backend()
+        kernels = _kernels()
         events = np.empty(n, dtype=np.int64)
         events[0::2] = bu
         events[1::2] = bv
         shift = np.int64(max(1, int(max(n - 1, 1)).bit_length()))
-        packed = kb.pack_index_sort(events, shift)
+        packed = kernels.pack_index_sort(events, shift)
         order = packed & ((np.int64(1) << shift) - 1)
         sorted_events = packed >> shift
 
@@ -416,7 +416,7 @@ class BatchContext:
         vbits = int(bv.max()).bit_length() if w else 0
         if w and ubits + vbits + kbits <= 63:
             kshift = np.int64(kbits)
-            pk = kb.pack2_index_sort(bu, bv, np.int64(vbits), kshift)
+            pk = kernels.pack2_index_sort(bu, bv, np.int64(vbits), kshift)
             self._key_order = pk & ((np.int64(1) << kshift) - 1)
             self._sorted_keys = keys[self._key_order]
         else:

@@ -124,8 +124,7 @@ def resolve_transport(transport: str) -> str:
     """Resolve a requested transport to ``"shm"`` or ``"queue"``.
 
     ``auto`` degrades silently on shm-less platforms; an explicit
-    ``shm`` request raises there instead, mirroring the kernel
-    backend's selection contract.
+    ``shm`` request raises there instead.
     """
     name = transport.strip().lower()
     if name == "auto":

@@ -38,10 +38,9 @@ the per-worker restart budget :attr:`Supervision.max_restarts`:
   rejoins the run in the exact state the dead worker should have had.
   Restore-plus-replay reconstructs the worker's state deterministically,
   so the final merged report is bit-identical to an uninterrupted run.
-- **Attribution.** Crashes whose traceback implicates a layer degrade
-  it for the respawn: shared-memory errors (or repeated crashes) move
-  that worker to pickled queue payloads, numba errors pin the respawn
-  to the numpy backend (bit-identical by the backend contract).
+- **Attribution.** Crashes whose traceback implicates shared memory
+  (or repeated crashes) move that worker to pickled queue payloads for
+  the respawn.
 - **Bounded retries.** Each worker gets ``max_restarts`` respawns;
   past that the run fails with
   :class:`~repro.errors.RetryExhaustedError` carrying the last worker
@@ -166,20 +165,13 @@ class EstimatorShardProgram:
     respawn before the first snapshot needs no restore at all),
     :meth:`consume` processes one batch, :meth:`state`/:meth:`load`
     snapshot and restore, :meth:`finish` returns what the parent
-    merges. ``backend`` pins the kernel backend for (re)spawns --
-    recovery sets it to ``"numpy"`` when a crash is attributed to the
-    compiled backend.
+    merges.
     """
 
-    def __init__(self, specs, backend: str | None = None) -> None:
+    def __init__(self, specs) -> None:
         self.specs = [dict(spec) for spec in specs]
-        self.backend = backend
 
     def build(self) -> None:
-        if self.backend is not None:
-            from ..core.backend import set_backend
-
-            set_backend(self.backend)
         self._pairs = [
             (
                 spec["name"],
@@ -836,9 +828,6 @@ class ShardSupervisor:
     def _degrade(self, i: int, down: _WorkerDown) -> str:
         """Apply layer degradation for the respawn; describe it."""
         layer = _attribute_layer(down)
-        if layer == "backend" and getattr(self._programs[i], "backend", None) != "numpy":
-            self._programs[i].backend = "numpy"
-            return "; numba implicated, pinning its backend to numpy"
         if (
             not self._degraded[i]
             and self._sender.mode == "shm"
@@ -982,8 +971,6 @@ def _attribute_layer(down: _WorkerDown) -> str | None:
         for part in (down.tb, repr(down.exc) if down.exc else "", str(down))
         if part
     ).lower()
-    if "numba" in text:
-        return "backend"
     if any(
         marker in text
         for marker in ("shared_memory", "sharedmemory", "/dev/shm", "shmring")

@@ -41,6 +41,13 @@ class TestTransitivity:
         assert code == 0
         assert "transitivity" in capsys.readouterr().out
 
+    def test_rejects_empty_wedge_pool(self, graph_file, capsys):
+        code = main(
+            ["transitivity", "--input", graph_file, "--wedge-estimators", "0"]
+        )
+        assert code == 1
+        assert "num_wedge_estimators" in capsys.readouterr().err
+
 
 class TestSample:
     def test_prints_k_triangles(self, graph_file, capsys):
@@ -175,3 +182,30 @@ class TestExactAndStats:
         assert main(["stats", "--input", graph_file]) == 0
         out = capsys.readouterr().out
         assert "vertices" in out and "max degree" in out
+
+
+class TestSignedInput:
+    """A turnstile file whose final graph is the single edge 2-3."""
+
+    @pytest.fixture()
+    def signed_file(self, tmp_path):
+        path = tmp_path / "signed.edges"
+        path.write_text("1 2 1\n2 3 1\n1 3 1\n1 3 -1\n1 2 -1\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["count", "transitivity", "sample", "exact"])
+    def test_insert_only_subcommands_refuse_signed_input(
+        self, command, signed_file, capsys
+    ):
+        assert main([command, "--signed", "--input", signed_file]) == 1
+        captured = capsys.readouterr()
+        assert "signed (turnstile) stream" in captured.err
+        assert captured.out == ""
+
+    def test_stats_reports_the_final_graph(self, signed_file, capsys):
+        assert main(["stats", "--signed", "--input", signed_file]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "vertices: 2",
+            "edges: 1",
+            "max degree: 1",
+        ]

@@ -41,6 +41,16 @@ class TestTransitivityEstimator:
         with pytest.raises(InvalidParameterError):
             TransitivityEstimator(0)
 
+    def test_requires_positive_wedge_pool(self):
+        """A wedge pool of 0 is rejected, not replaced by the triangle
+        pool size."""
+        with pytest.raises(InvalidParameterError, match="num_wedge_estimators"):
+            TransitivityEstimator(100, 0)
+
+    def test_wedge_pool_defaults_to_triangle_pool(self):
+        est = TransitivityEstimator(100, seed=1)
+        assert est._wedges.num_estimators == 100
+
     def test_complete_graph_transitivity_one(self):
         edges = complete_graph(12)
         est = TransitivityEstimator(8_000, seed=4)
