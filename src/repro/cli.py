@@ -229,6 +229,38 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _journal_options(args: argparse.Namespace) -> dict:
+    """The ``--journal*`` flags as ``run``/``snapshots`` keywords."""
+    return {
+        "journal_dir": args.journal,
+        "journal_fsync": args.journal_fsync,
+        "journal_max_segment": args.journal_max_segment,
+    }
+
+
+def _durable_pipeline(args: argparse.Namespace, names) -> tuple[Pipeline, dict]:
+    """The single-process pipeline over ``names``, resumed per ``--resume``,
+    and its durability keywords (``--checkpoint*``, ``--journal*``).
+
+    A ``--checkpoint`` run also snapshots on ``kill -USR1 <pid>`` at the
+    next batch boundary.
+    """
+    pipeline = Pipeline.from_registry(
+        names, num_estimators=args.estimators, seed=args.seed
+    )
+    if args.resume:
+        pipeline.resume(args.resume)
+    checkpoint_signal = None
+    if args.checkpoint and hasattr(signal, "SIGUSR1"):
+        checkpoint_signal = signal.SIGUSR1
+    return pipeline, {
+        "checkpoint_path": args.checkpoint,
+        "checkpoint_every": args.checkpoint_every,
+        "checkpoint_signal": checkpoint_signal,
+        **_journal_options(args),
+    }
+
+
 def _install_fault_plan(args: argparse.Namespace) -> FaultPlan | None:
     """Parse and install ``--fault-plan`` (None leaves $REPRO_FAULT_PLAN)."""
     spec = getattr(args, "fault_plan", None)
@@ -267,26 +299,11 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             poll_interval=0.2 if args.poll_interval is None else args.poll_interval,
             idle_timeout=args.idle_timeout,
         )
-    names = args.estimator or ["count", "sliding-window"]
-    pipeline = Pipeline.from_registry(
-        names, num_estimators=args.estimators, seed=args.seed
+    pipeline, durability = _durable_pipeline(
+        args, args.estimator or ["count", "sliding-window"]
     )
-    if args.resume:
-        pipeline.resume(args.resume)
-    checkpoint_signal = None
-    if args.checkpoint and hasattr(signal, "SIGUSR1"):
-        # kill -USR1 <pid> snapshots at the next batch boundary.
-        checkpoint_signal = signal.SIGUSR1
     snapshots = pipeline.snapshots(
-        source,
-        batch_size=args.batch_size,
-        every=args.every,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_signal=checkpoint_signal,
-        journal_dir=args.journal,
-        journal_fsync=args.journal_fsync,
-        journal_max_segment=args.journal_max_segment,
+        source, batch_size=args.batch_size, every=args.every, **durability
     )
     # Unbuffered binary append: each snapshot is one write(2) of one
     # complete line, so a concurrent reader (or a kill mid-write) never
@@ -330,33 +347,13 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             fault_plan=plan,
         )
         report = sharded.run(
-            _source(args),
-            batch_size=args.batch_size,
-            journal_dir=args.journal,
-            journal_fsync=args.journal_fsync,
-            journal_max_segment=args.journal_max_segment,
+            _source(args), batch_size=args.batch_size, **_journal_options(args)
         )
-        print(report.render())
-        return 0
-    pipeline = Pipeline.from_registry(
-        names, num_estimators=args.estimators, seed=args.seed
-    )
-    if args.resume:
-        pipeline.resume(args.resume)
-    checkpoint_signal = None
-    if args.checkpoint and hasattr(signal, "SIGUSR1"):
-        # kill -USR1 <pid> snapshots at the next batch boundary.
-        checkpoint_signal = signal.SIGUSR1
-    report = pipeline.run(
-        _source(args),
-        batch_size=args.batch_size,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_signal=checkpoint_signal,
-        journal_dir=args.journal,
-        journal_fsync=args.journal_fsync,
-        journal_max_segment=args.journal_max_segment,
-    )
+    else:
+        pipeline, durability = _durable_pipeline(args, names)
+        report = pipeline.run(
+            _source(args), batch_size=args.batch_size, **durability
+        )
     print(report.render())
     return 0
 

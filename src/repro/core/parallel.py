@@ -25,7 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidParameterError
-from ..streaming.source import as_source
+from ..streaming.pipeline import Pipeline
+from ..streaming.shm import transport_name
 from ..streaming.supervisor import EstimatorShardProgram, Supervision, run_shards
 from .checkpoint import from_state_dict, merge_counters
 from .vectorized import VectorizedTriangleCounter
@@ -89,10 +90,6 @@ class ParallelTriangleCounter:
             )
         if workers < 1:
             raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-        if transport.strip().lower() not in ("auto", "shm", "queue"):
-            raise InvalidParameterError(
-                f"unknown transport {transport!r}; choose shm, queue, or auto"
-            )
         self._policy = Supervision(
             max_restarts=max_restarts,
             worker_deadline=worker_deadline,
@@ -102,7 +99,7 @@ class ParallelTriangleCounter:
         self.num_estimators = num_estimators
         self.workers = min(workers, num_estimators)
         self.seed = seed
-        self.transport = transport
+        self.transport = transport_name(transport)
         self.fault_plan = fault_plan
         self.last_restarts: list[int] = []
         self._merged: VectorizedTriangleCounter | None = None
@@ -131,9 +128,14 @@ class ParallelTriangleCounter:
             )
             for size, seq in zip(self._shard_sizes(), seed_seqs)
         ]
+        # The stream is read through Pipeline's front (batch-size check,
+        # signed-input guard), with a one-estimator ``count`` probe
+        # standing in for the worker pools.
+        reader = Pipeline.from_registry(["count"], num_estimators=1)
+        state = reader._begin(edges, batch_size)
         finals, self.last_restarts = run_shards(
             programs,
-            as_source(edges).batches(batch_size),
+            reader._front(state),
             transport=self.transport,
             batch_size=batch_size,
             policy=self._policy,

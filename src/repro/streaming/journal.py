@@ -354,17 +354,17 @@ class JournalWriter:
         self._open_segment()
 
     def close(self) -> None:
-        """Flush (and, per policy, fsync) the tail segment and close it."""
-        handle, self._handle = self._handle, None
+        """Make the tail segment durable (:meth:`sync`) and close it."""
+        handle = self._handle
         if handle is None or handle.closed:
+            self._handle = None
             return
         try:
-            handle.flush()
-            if self._fsync != "off":
-                os.fsync(handle.fileno())
+            self.sync()
         except OSError:
             pass
         finally:
+            self._handle = None
             handle.close()
 
     def __enter__(self) -> "JournalWriter":

@@ -25,6 +25,13 @@ subcommand and the follow-mode sources build on it). :meth:`Pipeline.run`
 and :meth:`Pipeline.snapshots` share one driver (:meth:`Pipeline._drive`):
 ``run`` simply drains the snapshot stream and returns the final report,
 so the two are bit-identical by construction.
+
+The pass has two halves. The *front* (:meth:`Pipeline._begin` and the
+:meth:`Pipeline._front` generator) is the only code that reads a
+source, for :class:`~repro.streaming.sharded.ShardedPipeline` too. The
+*consumer* is :meth:`Pipeline._drive` in process or the shard workers,
+and both update estimators through one :class:`Dispatch`: sharding
+changes who consumes the batches, never how the stream is read.
 """
 
 from __future__ import annotations
@@ -188,6 +195,47 @@ class PipelineSnapshot(PipelineReport):
             f"[batch {self.batches:,} | {self.edges:,} edges | "
             f"{self.seconds:.2f}s]{marker}{journal} {parts}"
         )
+
+
+class Dispatch:
+    """The per-batch estimator dispatch of every driver.
+
+    Columnar batches take an estimator's
+    :class:`~repro.streaming.protocol.PreparedEstimator` fast path when
+    it has one; everything else goes through ``update_batch``.
+    ``timings`` accumulates each estimator's wall-clock seconds.
+    """
+
+    def __init__(self, pairs: Sequence[tuple[str, Any]]) -> None:
+        self._pairs = list(pairs)
+        self._fast = [
+            getattr(estimator, "update_prepared", None)
+            for _, estimator in self._pairs
+        ]
+        # Build the shared per-batch index only when some fast-path
+        # estimator actually reads it (a pure tuple consumer like the
+        # bulk engine sets uses_batch_context = False).
+        self._want_context = any(
+            fast is not None and getattr(estimator, "uses_batch_context", True)
+            for (_, estimator), fast in zip(self._pairs, self._fast)
+        )
+        self.timings = {name: 0.0 for name, _ in self._pairs}
+
+    def prepare(self, batch) -> None:
+        """Build ``batch``'s shared index once, if any estimator reads it."""
+        if self._want_context and isinstance(batch, EdgeBatch):
+            batch.context  # noqa: B018 -- build the shared index once
+
+    def __call__(self, batch) -> None:
+        """Update every estimator with ``batch``, timing each."""
+        columnar = isinstance(batch, EdgeBatch)
+        for (name, estimator), fast in zip(self._pairs, self._fast):
+            t0 = time.perf_counter()
+            if fast is not None and columnar:
+                fast(batch)
+            else:
+                estimator.update_batch(batch)
+            self.timings[name] += time.perf_counter() - t0
 
 
 class Pipeline:
@@ -440,25 +488,16 @@ class Pipeline:
         state = self._begin(
             source,
             batch_size,
-            checkpoint_path,
-            checkpoint_every,
-            checkpoint_signal,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every,
+            checkpoint_signal=checkpoint_signal,
             journal_dir=journal_dir,
             journal_fsync=journal_fsync,
             journal_max_segment=journal_max_segment,
         )
-        snapshot = None
-        for snapshot in self._drive(state, None, checkpoint_path, checkpoint_every):
+        for report in self._drive(state, None, checkpoint_path, checkpoint_every):
             pass
-        # A plain report (no `final` field): run()'s return type predates
-        # the snapshot surface and artifact dicts depend on its shape.
-        return PipelineReport(
-            edges=snapshot.edges,
-            batches=snapshot.batches,
-            seconds=snapshot.seconds,
-            io_seconds=snapshot.io_seconds,
-            estimators=snapshot.estimators,
-        )
+        return report
 
     def snapshots(
         self,
@@ -504,9 +543,9 @@ class Pipeline:
         state = self._begin(
             source,
             batch_size,
-            checkpoint_path,
-            checkpoint_every,
-            checkpoint_signal,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every,
+            checkpoint_signal=checkpoint_signal,
             journal_dir=journal_dir,
             journal_fsync=journal_fsync,
             journal_max_segment=journal_max_segment,
@@ -517,19 +556,23 @@ class Pipeline:
         self,
         source,
         batch_size: int,
-        checkpoint_path,
-        checkpoint_every: int | None,
-        checkpoint_signal: int | None,
         *,
+        checkpoint_path=None,
+        checkpoint_every: int | None = None,
+        checkpoint_signal: int | None = None,
         journal_dir=None,
         journal_fsync: str = "batch",
         journal_max_segment: int = DEFAULT_SEGMENT_BYTES,
     ) -> dict[str, Any]:
-        """Validate and set up a stream pass (shared by run/snapshots).
+        """Validate and set up a stream pass (shared by both drivers).
 
         Everything fallible-before-the-stream happens here, eagerly:
-        parameter validation, resume fingerprint verification, and the
-        pre-stream checkpoint. Returns the driver's starting state.
+        parameter validation, the signed-source guard, resume
+        fingerprint verification, opening the journal, and the
+        pre-stream checkpoint. Returns the state :meth:`_front` reads
+        the stream with. :class:`~repro.streaming.sharded.ShardedPipeline`
+        and :class:`~repro.core.parallel.ParallelTriangleCounter` call
+        it too, over single-estimator probes of their pools.
         """
         if batch_size < 1:
             raise InvalidParameterError(
@@ -569,7 +612,6 @@ class Pipeline:
                 "('triest-fd', 'dynamic-sampler') for signed input"
             )
         resume = self._resume
-        remaining = 0
         base_edges = 0
         base_batches = 0
         fingerprint = None
@@ -598,7 +640,6 @@ class Pipeline:
                     "checkpoint was taken over a different stream than the "
                     "one being resumed (fingerprint mismatch)"
                 )
-            remaining = resume.edges_seen
             base_edges = resume.edges_seen
             base_batches = resume.batches
         elif checkpoint_path is not None:
@@ -611,7 +652,6 @@ class Pipeline:
         # resume path a non-replayable source (stdin, socket) has.
         journal_writer = None
         journal_replay = None
-        journal_resume = False
         journal_position = None
         if journal_dir is not None:
             journal_writer = JournalWriter(
@@ -637,7 +677,6 @@ class Pipeline:
                             journal_position["offset"],
                         ),
                     )
-                    journal_resume = True
                 else:
                     position = journal_writer.position()
                     journal_position = {
@@ -668,113 +707,37 @@ class Pipeline:
                 if journal_writer is not None:
                     journal_writer.close()
                 raise
-
-        fast_paths = [
-            getattr(estimator, "update_prepared", None)
-            for _, estimator in self._pairs
-        ]
-        # Build the shared per-batch index only when some fast-path
-        # estimator actually reads it (a pure tuple consumer like the
-        # bulk engine sets uses_batch_context = False).
-        want_context = any(
-            fast is not None and getattr(estimator, "uses_batch_context", True)
-            for (_, estimator), fast in zip(self._pairs, fast_paths)
-        )
         return {
             "src": src,
             "batch_size": batch_size,
             "resumed": resume is not None,
-            "remaining": remaining,
-            "base_edges": base_edges,
-            "base_batches": base_batches,
-            "fast_paths": fast_paths,
-            "want_context": want_context,
+            "edges": base_edges,
+            "batches": base_batches,
+            "io_seconds": 0.0,
             "checkpoint_signal": checkpoint_signal,
             "insert_only": insert_only,
             "journal": journal_writer,
             "journal_replay": journal_replay,
-            "journal_resume": journal_resume,
         }
 
-    def _drive(
-        self,
-        state: dict[str, Any],
-        every: int | None,
-        checkpoint_path,
-        checkpoint_every: int | None,
-    ) -> Iterator[PipelineSnapshot]:
-        """The one stream pass behind :meth:`run` and :meth:`snapshots`.
+    def _front(self, state: dict[str, Any]) -> Iterator:
+        """The one read of the stream, shared by both drivers.
 
-        Streams, updates every estimator, writes periodic/signal/final
-        checkpoints, and yields a :class:`PipelineSnapshot` every
-        ``every`` batches (``None``: only the final one -- the
-        :meth:`run` mode). Checkpoint and snapshot cadences key on the
-        *global* batch index (``base + local``), so a resumed pass
-        checkpoints and reports at the same stream positions the
-        uninterrupted pass would.
-
-        On any failure -- or on abandonment mid-stream -- of a pass
-        that was resumed from a checkpoint, the checkpoint is reloaded
-        so a retry cannot double-count the stream (see
-        :meth:`_reload_after_failed_resume`).
+        Yields every batch of the pass, after the journal replay and
+        the resume skip, as an :class:`EdgeBatch` whenever the batch
+        admits the columnar form (else as the source's raw batch). Each
+        batch has passed the signed-batch guard and been appended to
+        the journal before it is yielded (append-before-deliver).
+        ``state["edges"]``/``["batches"]`` count the global stream
+        position, ``state["io_seconds"]`` the time spent here (source
+        reads, coercion and journal appends). The journal is closed --
+        its tail made durable -- when the stream ends, fails, or the
+        returned generator is closed, whether or not it was read from.
         """
         src = state["src"]
-        batch_size = state["batch_size"]
-        base_edges = state["base_edges"]
-        base_batches = state["base_batches"]
-        fast_paths = state["fast_paths"]
-        want_context = state["want_context"]
-        checkpoint_signal = state["checkpoint_signal"]
         insert_only = state["insert_only"]
         journal = state["journal"]
         journal_replay = state["journal_replay"]
-        timings = {name: 0.0 for name, _ in self._pairs}
-        edges = 0
-        batches = 0
-        io_seconds = 0.0
-        signal_seen = [False]
-        restore_handler = None
-        if checkpoint_path is not None and checkpoint_signal is not None:
-            def _on_signal(signum, frame):  # pragma: no cover - timing
-                signal_seen[0] = True
-
-            try:
-                previous = signal_module.signal(checkpoint_signal, _on_signal)
-                restore_handler = (checkpoint_signal, previous)
-            except ValueError:
-                # Not the main thread: on-demand snapshots unavailable,
-                # periodic/final ones still work.
-                restore_handler = None
-        start = time.perf_counter()
-
-        def _snapshot(final: bool) -> PipelineSnapshot:
-            return PipelineSnapshot(
-                edges=base_edges + edges,
-                batches=base_batches + batches,
-                seconds=time.perf_counter() - start,
-                io_seconds=io_seconds,
-                estimators=[
-                    EstimatorReport(
-                        name=name,
-                        seconds=timings[name],
-                        results=self._reporter_for(name, live=not final)(estimator),
-                    )
-                    for name, estimator in self._pairs
-                ],
-                final=final,
-                journal=journal.stats() if journal is not None else None,
-            )
-
-        def _save_checkpoint(path) -> None:
-            # Journal bytes become durable before the manifest that
-            # references them, and segments wholly behind the new
-            # checkpoint are compacted once it is safely on disk.
-            if journal is not None:
-                journal.sync()
-            self.checkpoint(path)
-            if journal is not None:
-                journal.compact(self._progress.get("journal"))
-
         # Leftover resume-skip, surfaced from the merged stream for the
         # stream-ended-early check below (a mutable cell because the
         # generator owns the countdown).
@@ -787,23 +750,17 @@ class Pipeline:
             checkpoint, ``fresh=False``, each carrying its recorded
             position), then the live source. Replay preserves the
             recorded batch boundaries, which is what keeps a resumed
-            continuation bit-identical. On a journal resume a
-            *replayable* source is skipped past everything already
-            counted (checkpointed + replayed); a non-replayable source
-            only ever serves new edges, so nothing is skipped.
+            continuation bit-identical. A resumed source is skipped
+            past everything already counted (checkpointed, then
+            replayed) -- unless it is a non-replayable source resumed
+            from the journal, which only ever serves new edges.
             """
-            replayed = 0
             if journal_replay is not None:
                 for replay_batch, position in journal_replay:
-                    replayed += len(replay_batch)
                     yield replay_batch, position, False
-            if state["journal_resume"]:
-                skip_left[0] = (
-                    base_edges + replayed if src.replayable else 0
-                )
-            else:
-                skip_left[0] = state["remaining"]
-            for source_batch in src.batches(batch_size):
+            if src.replayable or journal_replay is None:
+                skip_left[0] = state["edges"]
+            for source_batch in src.batches(state["batch_size"]):
                 if skip_left[0]:
                     # Replaying a resumed stream: checkpoints land on
                     # batch boundaries, so whole batches are skipped
@@ -820,69 +777,136 @@ class Pipeline:
                     skip_left[0] = 0
                 yield source_batch, None, True
 
-        try:
+        def _batches():
             try:
-                stream = _merged_stream()
-                while True:
-                    t0 = time.perf_counter()
-                    item = next(stream, None)
-                    if item is None:
-                        io_seconds += time.perf_counter() - t0
-                        break
-                    batch, journal_position, fresh = item
-                    if isinstance(batch, EdgeBatch):
-                        prepared = batch
-                    else:
+                yield  # the priming stop: nothing is read before it
+                t0 = time.perf_counter()
+                for batch, journal_position, fresh in _merged_stream():
+                    if not isinstance(batch, EdgeBatch):
                         try:
-                            prepared = EdgeBatch.from_edges(batch)
+                            batch = EdgeBatch.from_edges(batch)
                         except _COERCE_ERRORS:
-                            prepared = None
-                    if (
-                        insert_only
-                        and prepared is not None
-                        and prepared.signs is not None
-                    ):
-                        # Sources that cannot declare themselves signed
-                        # up front (a generator of (u, v, sign) triples)
-                        # are caught here, batch by batch.
+                            pass
+                    columnar = isinstance(batch, EdgeBatch)
+                    if insert_only and columnar and batch.signs is not None:
+                        # Sources that cannot declare themselves signed up
+                        # front (a generator of (u, v, sign) triples) are
+                        # caught here, batch by batch.
                         raise InvalidParameterError(
                             "signed batch reached insert-only estimator(s) "
                             f"{insert_only}; deletions would be silently "
                             "counted as insertions"
                         )
                     if journal is not None and fresh:
-                        # Append-before-deliver: the record is on disk
-                        # (and flushed) before any estimator sees the
-                        # batch, so a kill cannot lose delivered edges.
-                        if prepared is None:
+                        # Append-before-deliver: the record is on disk (and
+                        # flushed) before any estimator sees the batch, so
+                        # a kill cannot lose delivered edges.
+                        if not columnar:
                             raise InvalidParameterError(
                                 "journaling requires columnar batches; the "
                                 "source yielded edges EdgeBatch cannot "
                                 "represent"
                             )
-                        journal_position = journal.append(prepared)
+                        journal_position = journal.append(batch)
                     if journal_position is not None:
                         self._progress["journal"] = {
                             "segment": journal_position[0],
                             "offset": journal_position[1],
                         }
-                    if prepared is not None and want_context:
-                        prepared.context  # noqa: B018 -- build the shared index once
-                    io_seconds += time.perf_counter() - t0
-                    batches += 1
-                    edges += len(batch)
-                    for (name, estimator), fast in zip(self._pairs, fast_paths):
-                        t1 = time.perf_counter()
-                        if fast is not None and prepared is not None:
-                            fast(prepared)
-                        else:
-                            estimator.update_batch(
-                                batch if prepared is None else prepared
-                            )
-                        timings[name] += time.perf_counter() - t1
-                    self._progress["edges_seen"] = base_edges + edges
-                    self._progress["batches"] = base_batches + batches
-                    global_batch = base_batches + batches
+                    state["io_seconds"] += time.perf_counter() - t0
+                    state["edges"] += len(batch)
+                    state["batches"] += 1
+                    self._progress["edges_seen"] = state["edges"]
+                    self._progress["batches"] = state["batches"]
+                    yield batch
+                    t0 = time.perf_counter()
+                state["io_seconds"] += time.perf_counter() - t0
+                if skip_left[0]:
+                    raise InvalidParameterError(
+                        f"stream ended {skip_left[0]} edges before the "
+                        "checkpoint's position; it is not the stream that was "
+                        "checkpointed"
+                    )
+            finally:
+                if journal is not None:
+                    journal.close()
+
+        front = _batches()
+        next(front)  # primed, so close() closes the journal even before a read
+        return front
+
+    def _drive(
+        self,
+        state: dict[str, Any],
+        every: int | None,
+        checkpoint_path,
+        checkpoint_every: int | None,
+    ) -> Iterator[PipelineReport]:
+        """The in-process consumer of :meth:`_front`, behind :meth:`run`
+        and :meth:`snapshots`.
+
+        Builds each batch's shared index (timed into ``io_seconds``),
+        updates every estimator through one :class:`Dispatch`, writes
+        periodic/signal/final checkpoints, and yields a
+        :class:`PipelineSnapshot` every ``every`` batches (``None``:
+        only the final report, as the plain :class:`PipelineReport`
+        :meth:`run` returns -- its shape predates the snapshot surface
+        and artifact dicts depend on it). Checkpoint and
+        snapshot cadences key on the *global* batch index, so a resumed
+        pass checkpoints and reports at the same stream positions the
+        uninterrupted pass would.
+
+        On any failure -- or on abandonment mid-stream -- of a pass
+        that was resumed from a checkpoint, the checkpoint is reloaded
+        so a retry cannot double-count the stream (see
+        :meth:`_reload_after_failed_resume`).
+        """
+        checkpoint_signal = state["checkpoint_signal"]
+        journal = state["journal"]
+        dispatch = Dispatch(self._pairs)
+        signal_seen = [False]
+        restore_handler = None
+        if checkpoint_path is not None and checkpoint_signal is not None:
+            def _on_signal(signum, frame):  # pragma: no cover - timing
+                signal_seen[0] = True
+
+            try:
+                previous = signal_module.signal(checkpoint_signal, _on_signal)
+                restore_handler = (checkpoint_signal, previous)
+            except ValueError:
+                # Not the main thread: on-demand snapshots unavailable,
+                # periodic/final ones still work.
+                restore_handler = None
+        start = time.perf_counter()
+
+        def _snapshot(final: bool | None) -> PipelineReport:
+            return self._report(
+                state,
+                self._pairs,
+                dispatch.timings,
+                time.perf_counter() - start,
+                final=final,
+            )
+
+        def _save_checkpoint(path) -> None:
+            # Journal bytes become durable before the manifest that
+            # references them, and segments wholly behind the new
+            # checkpoint are compacted once it is safely on disk.
+            if journal is not None:
+                journal.sync()
+            self.checkpoint(path)
+            if journal is not None:
+                journal.compact(self._progress.get("journal"))
+
+        front = self._front(state)
+        try:
+            try:
+                for batch in front:
+                    t0 = time.perf_counter()
+                    dispatch.prepare(batch)
+                    state["io_seconds"] += time.perf_counter() - t0
+                    dispatch(batch)
+                    global_batch = state["batches"]
                     if checkpoint_path is not None and (
                         signal_seen[0]
                         or (checkpoint_every and global_batch % checkpoint_every == 0)
@@ -910,16 +934,10 @@ class Pipeline:
             finally:
                 if restore_handler is not None:
                     signal_module.signal(*restore_handler)
-            if skip_left[0]:
-                raise InvalidParameterError(
-                    f"stream ended {skip_left[0]} edges before the "
-                    "checkpoint's position; it is not the stream that was "
-                    "checkpointed"
-                )
             if checkpoint_path is not None:
                 _save_checkpoint(checkpoint_path)
             self._resume = None
-            yield _snapshot(final=True)
+            yield _snapshot(final=True if every is not None else None)
         except BaseException:
             if state["resumed"] and self._resume is not None:
                 # The pipeline's estimators are somewhere past the
@@ -931,8 +949,46 @@ class Pipeline:
                 self._reload_after_failed_resume()
             raise
         finally:
-            if journal is not None:
-                journal.close()
+            front.close()
+
+    def _report(
+        self,
+        state: dict[str, Any],
+        pairs,
+        timings: Mapping[str, float],
+        seconds: float,
+        *,
+        final: bool | None = None,
+    ) -> PipelineReport:
+        """Report the pass ``state`` describes, with results from ``pairs``.
+
+        ``final=None`` gives the plain :class:`PipelineReport` a
+        finished :meth:`run` (or sharded run) returns; ``True``/``False`` a
+        :class:`PipelineSnapshot` carrying the journal's health, whose
+        mid-stream (``False``) results come from the live reporters.
+        """
+        report = PipelineReport(
+            edges=state["edges"],
+            batches=state["batches"],
+            seconds=seconds,
+            io_seconds=state["io_seconds"],
+            estimators=[
+                EstimatorReport(
+                    name=name,
+                    seconds=timings[name],
+                    results=self._reporter_for(name, live=final is False)(estimator),
+                )
+                for name, estimator in pairs
+            ],
+        )
+        if final is None:
+            return report
+        journal = state["journal"]
+        return PipelineSnapshot(
+            **vars(report),
+            final=final,
+            journal=journal.stats() if journal is not None else None,
+        )
 
     def _reporter_for(self, name: str, *, live: bool):
         """The result extractor for one estimator (live or final)."""

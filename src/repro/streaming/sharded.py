@@ -9,10 +9,12 @@ makes first-class -- the same "independent sub-estimators over one
 stream" structure Pagh-Tsourakakis colorful sharding exploits).
 
 :class:`ShardedPipeline` runs any set of registered estimators that
-way: the parent reads the stream **once** through an
-:class:`~repro.streaming.source.EdgeSource` and hands it, with one
-:class:`~repro.streaming.supervisor.EstimatorShardProgram` per worker,
-to :func:`~repro.streaming.supervisor.run_shards`. With several
+way: the parent reads the stream **once**, through the same front as
+the single-process :class:`~repro.streaming.pipeline.Pipeline`
+(validation, coercion, the signed-input guard, the durable journal
+and ``io_seconds`` all behave identically), and hands the batches,
+with one :class:`~repro.streaming.supervisor.EstimatorShardProgram`
+per worker, to :func:`~repro.streaming.supervisor.run_shards`. With several
 workers the :class:`~repro.streaming.supervisor.ShardSupervisor` fans
 each columnar batch out to every worker's bounded queue; each worker
 runs its shard of every requested estimator (built by name from
@@ -46,11 +48,10 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from ..errors import InvalidParameterError
-from .batch import EdgeBatch
-from .journal import DEFAULT_SEGMENT_BYTES, JournalWriter
-from .pipeline import EstimatorReport, PipelineReport
-from .registry import ESTIMATORS, _default_report
-from .source import as_source
+from .journal import DEFAULT_SEGMENT_BYTES
+from .pipeline import Pipeline, PipelineReport
+from .registry import ESTIMATORS
+from .shm import transport_name
 from .supervisor import EstimatorShardProgram, Supervision, run_shards
 
 __all__ = ["ShardedPipeline", "derive_shard_seed", "shard_sizes"]
@@ -91,34 +92,6 @@ def derive_shard_seed(seed: int | None, name: str, worker: int) -> int | None:
         [seed, zlib.crc32(name.encode("utf-8")), _SHARD_DOMAIN, worker + 1]
     )
     return int(entropy.generate_state(1, np.uint32)[0])
-
-
-def _metered(batches: Iterable, journal: JournalWriter | None, tally: dict):
-    """The parent's single read of the stream: count, journal, time it.
-
-    Every batch is appended to ``journal`` *before* it is handed on to
-    any worker (or the supervisor's replay window), so the journal is
-    always a superset of what the workers consumed.
-    ``tally["io_seconds"]`` accumulates the time spent here between
-    hand-offs: source reads plus journal appends.
-    """
-    stream = iter(batches)
-    while True:
-        t0 = time.perf_counter()
-        batch = next(stream, None)
-        if batch is not None and journal is not None:
-            if not isinstance(batch, EdgeBatch):
-                raise InvalidParameterError(
-                    "journaling requires columnar batches; the source "
-                    f"yielded {type(batch).__name__}"
-                )
-            journal.append(batch)
-        tally["io_seconds"] += time.perf_counter() - t0
-        if batch is None:
-            return
-        tally["edges"] += len(batch)
-        tally["batches"] += 1
-        yield batch
 
 
 class ShardedPipeline:
@@ -191,18 +164,14 @@ class ShardedPipeline:
         fault_plan=None,
     ) -> None:
         self.names = list(names)
-        if not self.names:
-            raise InvalidParameterError("pipeline needs at least one estimator")
-        if len(set(self.names)) != len(self.names):
-            raise InvalidParameterError(f"duplicate estimator names: {self.names}")
         if workers < 1:
             raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-        for name in self.names:
-            ESTIMATORS.get(name)  # fail fast on unknown names
-        if transport.strip().lower() not in ("auto", "shm", "queue"):
-            raise InvalidParameterError(
-                f"unknown transport {transport!r}; choose shm, queue, or auto"
-            )
+        # The parent reads the stream through a Pipeline of one-estimator
+        # probes that stand in for the workers' pools. Building it fails
+        # fast on an empty list and on unknown or duplicate names.
+        self._probes = Pipeline.from_registry(
+            self.names, num_estimators=1, options=options
+        )
         self._policy = Supervision(
             max_restarts=max_restarts,
             worker_deadline=worker_deadline,
@@ -213,7 +182,7 @@ class ShardedPipeline:
         self.workers = workers
         self.num_estimators = num_estimators
         self.seed = seed
-        self.transport = transport
+        self.transport = transport_name(transport)
         self.fault_plan = fault_plan
         self.last_restarts: list[int] = []
         self._options = {k: dict(v) for k, v in (options or {}).items()}
@@ -284,23 +253,18 @@ class ShardedPipeline:
         the supervisor can cap its in-memory replay window
         (``replay_window``) by re-reading dropped batches from disk
         during recovery. The report's ``io_seconds`` is the parent's
-        time in source reads and journal appends.
+        time in source reads, coercion and journal appends; the parent
+        builds no per-batch index (the workers do).
         """
-        source = as_source(source)
-        # Fail fast on estimators that cannot ship state back: a probe
-        # instance is cheap, and discovering the problem inside a
-        # worker would otherwise surface as a shipped-back error after
-        # the whole stream was read. state_dict is *called*, not
+        # Fail fast on estimators that cannot ship state back: the
+        # probes are cheap, and discovering the problem inside a worker
+        # would otherwise surface as a shipped-back error after the
+        # whole stream was read. state_dict is *called*, not
         # hasattr-checked: delegating wrappers (TriangleCounter over a
         # non-checkpointable engine) expose the method and raise only
-        # when it runs. The same probes answer the turnstile capability
-        # check: a signed source aimed at any insert-only estimator is
-        # rejected here, before a worker is spawned or a byte streamed.
-        insert_only = []
+        # when it runs.
         for name in self.names:
-            probe = ESTIMATORS.get(name).create(
-                1, None, **self._options.get(name, {})
-            )
+            probe = self._probes.estimator(name)
             for method in ("state_dict", "load_state_dict", "merge"):
                 if not hasattr(probe, method):
                     raise InvalidParameterError(
@@ -314,56 +278,36 @@ class ShardedPipeline:
                     f"estimator {name!r} cannot be sharded across workers: "
                     f"{exc}"
                 ) from exc
-            if not getattr(probe, "supports_deletions", False):
-                insert_only.append(name)
-        if getattr(source, "signed", False) and insert_only:
-            raise InvalidParameterError(
-                "source is a signed (turnstile) stream, but estimator(s) "
-                f"{insert_only} are insert-only and would silently count "
-                "deletions as insertions; use deletion-capable estimators "
-                "('triest-fd', 'dynamic-sampler') for signed input"
-            )
-        journal = None
-        if journal_dir is not None:
-            journal = JournalWriter(
-                journal_dir,
-                fsync=journal_fsync,
-                max_segment_bytes=journal_max_segment,
-            )
-        tally = {"edges": 0, "batches": 0, "io_seconds": 0.0}
+        state = self._probes._begin(
+            source,
+            batch_size,
+            journal_dir=journal_dir,
+            journal_fsync=journal_fsync,
+            journal_max_segment=journal_max_segment,
+        )
         start = time.perf_counter()
+        batches = self._probes._front(state)
         try:
             finals, self.last_restarts = run_shards(
                 [EstimatorShardProgram(specs) for specs in self.worker_specs()],
-                _metered(source.batches(batch_size), journal, tally),
+                batches,
                 transport=self.transport,
                 batch_size=batch_size,
                 policy=self._policy,
                 fault_plan=self.fault_plan,
-                journal=journal,
+                journal=state["journal"],
             )
         finally:
-            if journal is not None:
-                journal.close()
+            batches.close()
         self._merged = self._merge_states([states for states, _ in finals])
-        report = PipelineReport(
-            edges=tally["edges"],
-            batches=tally["batches"],
-            seconds=time.perf_counter() - start,
-            io_seconds=tally["io_seconds"],
+        # Per-estimator seconds: the slowest worker's share.
+        timings = {
+            name: max(shard_timings.get(name, 0.0) for _, shard_timings in finals)
+            for name in self.names
+        }
+        return self._probes._report(
+            state, self._merged, timings, time.perf_counter() - start
         )
-        for name, estimator in self._merged:
-            reporter = (
-                ESTIMATORS.get(name).report if name in ESTIMATORS else _default_report
-            )
-            report.estimators.append(
-                EstimatorReport(
-                    name=name,
-                    seconds=max(timings.get(name, 0.0) for _, timings in finals),
-                    results=reporter(estimator),
-                )
-            )
-        return report
 
     def _merge_states(self, worker_states: list[dict]) -> list[tuple[str, Any]]:
         """Restore worker shards and concatenate them per estimator."""

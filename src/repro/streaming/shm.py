@@ -76,6 +76,7 @@ __all__ = [
     "TransportFeed",
     "resolve_transport",
     "shm_available",
+    "transport_name",
 ]
 
 #: First element of a shared-memory batch descriptor. A plain string
@@ -120,19 +121,25 @@ def shm_available() -> bool:
 _SHM_AVAILABLE: bool | None = None
 
 
+def transport_name(transport: str) -> str:
+    """``transport`` normalized; raises unless auto, shm or queue."""
+    name = transport.strip().lower()
+    if name not in ("auto", "shm", "queue"):
+        raise InvalidParameterError(
+            f"unknown transport {name!r}; choose shm, queue, or auto"
+        )
+    return name
+
+
 def resolve_transport(transport: str) -> str:
     """Resolve a requested transport to ``"shm"`` or ``"queue"``.
 
     ``auto`` degrades silently on shm-less platforms; an explicit
     ``shm`` request raises there instead.
     """
-    name = transport.strip().lower()
+    name = transport_name(transport)
     if name == "auto":
         return "shm" if shm_available() else "queue"
-    if name not in ("shm", "queue"):
-        raise InvalidParameterError(
-            f"unknown transport {name!r}; choose shm, queue, or auto"
-        )
     if name == "shm" and not shm_available():
         raise InvalidParameterError(
             "transport 'shm' requested but shared memory is unavailable "

@@ -3,9 +3,14 @@
 Both multiprocess front ends -- :class:`~repro.streaming.sharded.ShardedPipeline`
 and :class:`~repro.core.parallel.ParallelTriangleCounter` -- hand
 :func:`run_shards` one :class:`EstimatorShardProgram` per worker and
-the batch stream. A single program runs in-process; several run in
-worker processes that :class:`ShardSupervisor` spawns, feeds and
-collects. There is no other worker path.
+the batch stream, which they read through
+:class:`~repro.streaming.pipeline.Pipeline`'s front: every batch
+arriving here is already coerced, guarded against signed input and
+journaled. A single program runs in-process; several run in worker
+processes that :class:`ShardSupervisor` spawns, feeds and collects.
+There is no other worker path, and each worker updates its shard
+through the same :class:`~repro.streaming.pipeline.Dispatch` the
+single-process pipeline uses.
 
 The estimator dimension is embarrassingly parallel *and* bit-exactly
 checkpointable, which makes per-shard recovery natural: a worker's
@@ -20,8 +25,8 @@ the per-worker restart budget :attr:`Supervision.max_restarts`:
   batches before it, so the collected snapshot is exactly the state at
   that batch boundary. The parent keeps the raw payload of every batch
   since the last completed snapshot (a bounded replay window). When the
-  run is journaled (``ShardedPipeline.run(journal_dir=...)``), the
-  in-memory window may additionally be capped
+  caller hands :func:`run_shards` the journal writer its front appends
+  to, the in-memory window may additionally be capped
   (:attr:`Supervision.replay_window`): evicted batches are re-read
   from the durable journal during catch-up instead of held in RAM.
 - **Detection.** A dead worker is noticed at the next queue ``put``,
@@ -76,7 +81,7 @@ from ..errors import (
     WorkerRestartedWarning,
 )
 from . import faults as faults_module
-from .batch import EdgeBatch
+from .pipeline import Dispatch
 from .registry import ESTIMATORS
 from .shm import BatchSender, TransportFeed
 
@@ -181,41 +186,12 @@ class EstimatorShardProgram:
             )
             for spec in self.specs
         ]
-        self._fast = [
-            getattr(est, "update_prepared", None) for _, est in self._pairs
-        ]
-        self._want_context = any(
-            fast is not None and getattr(est, "uses_batch_context", True)
-            for (_, est), fast in zip(self._pairs, self._fast)
-        )
-        self._insert_only = [
-            name
-            for name, est in self._pairs
-            if not getattr(est, "supports_deletions", False)
-        ]
-        self._timings = {name: 0.0 for name, _ in self._pairs}
+        self._dispatch = Dispatch(self._pairs)
 
     def consume(self, batch) -> None:
-        prepared = batch if isinstance(batch, EdgeBatch) else None
-        if (
-            self._insert_only
-            and prepared is not None
-            and prepared.signs is not None
-        ):
-            raise InvalidParameterError(
-                "signed batch reached insert-only estimator(s) "
-                f"{self._insert_only}; deletions would be silently "
-                "counted as insertions"
-            )
-        if prepared is not None and self._want_context:
-            prepared.context  # noqa: B018 -- build the shared index once
-        for (name, est), fast in zip(self._pairs, self._fast):
-            t0 = time.perf_counter()
-            if fast is not None and prepared is not None:
-                fast(prepared)
-            else:
-                est.update_batch(batch)
-            self._timings[name] += time.perf_counter() - t0
+        """Feed one batch (already guarded and journaled upstream)."""
+        self._dispatch.prepare(batch)
+        self._dispatch(batch)
 
     def state(self) -> dict:
         return {name: est.state_dict() for name, est in self._pairs}
@@ -226,7 +202,7 @@ class EstimatorShardProgram:
 
     def finish(self):
         """``({name: state_dict}, {name: seconds in consume})``."""
-        return (self.state(), dict(self._timings))
+        return (self.state(), dict(self._dispatch.timings))
 
 
 def run_shards(

@@ -284,3 +284,129 @@ class TestExecution:
         sharded = ShardedPipeline(["boom-state-for-shard-test"], workers=2)
         with pytest.raises(RuntimeError, match="post-stream"):
             sharded.run(stream_array[:256], batch_size=64)
+
+
+class TestSharedFront:
+    """Sharded runs read the stream through Pipeline's front: the same
+    validation, signed-input guard, coercion and journal as a
+    single-process run, with the guard applied in the parent before any
+    batch reaches a worker."""
+
+    SIGNED_TRIPLES = [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 2, -1)] * 50
+
+    @staticmethod
+    def _front_end(kind, workers, max_restarts):
+        from repro.core.parallel import ParallelTriangleCounter
+
+        if kind == "sharded":
+            sharded = ShardedPipeline(
+                ["count"],
+                workers=workers,
+                num_estimators=16,
+                seed=0,
+                max_restarts=max_restarts,
+            )
+            return lambda source, batch_size: sharded.run(
+                source, batch_size=batch_size
+            )
+        counter = ParallelTriangleCounter(
+            16, workers=workers, seed=0, max_restarts=max_restarts
+        )
+        return lambda source, batch_size: counter.count(
+            source, batch_size=batch_size
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("max_restarts", [0, 2])
+    @pytest.mark.parametrize("kind", ["sharded", "parallel"])
+    def test_undeclared_signed_batch_fails_in_the_parent(
+        self, kind, max_restarts, workers
+    ):
+        """A generator of (u, v, sign) triples does not declare itself
+        signed; its first signed batch must fail the run as a parameter
+        error, not be retried as a worker crash."""
+        import warnings
+
+        from repro.errors import WorkerRestartedWarning
+
+        run = self._front_end(kind, workers, max_restarts)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidParameterError, match="signed batch"):
+                run(iter(self.SIGNED_TRIPLES), 16)
+        restarts = [
+            w for w in caught if issubclass(w.category, WorkerRestartedWarning)
+        ]
+        assert restarts == []
+
+    @pytest.mark.parametrize("kind", ["sharded", "parallel"])
+    def test_bad_batch_size_is_a_parameter_error(self, kind, stream_array):
+        run = self._front_end(kind, 2, 0)
+        with pytest.raises(InvalidParameterError, match="batch_size"):
+            run(stream_array, 0)
+
+    def test_coercible_tuple_lists_are_journaled(self, stream_array, tmp_path):
+        """A custom source yielding plain tuple lists is coerced before
+        the journal append, by the sharded parent as by Pipeline."""
+        from repro.streaming import EdgeSource, Pipeline, journal_records
+
+        edges = [tuple(e) for e in stream_array.tolist()]
+
+        class TupleListSource(EdgeSource):
+            def batches(self, batch_size):
+                for i in range(0, len(edges), batch_size):
+                    yield edges[i : i + batch_size]
+
+        Pipeline.from_registry(["count"], num_estimators=16, seed=0).run(
+            TupleListSource(), batch_size=128, journal_dir=tmp_path / "single"
+        )
+        report = ShardedPipeline(
+            ["count"], workers=2, num_estimators=16, seed=0
+        ).run(TupleListSource(), batch_size=128, journal_dir=tmp_path / "sharded")
+        assert report.edges == len(edges)
+        single = [b.array.tolist() for b, _ in journal_records(tmp_path / "single")]
+        sharded = [b.array.tolist() for b, _ in journal_records(tmp_path / "sharded")]
+        assert sharded == single
+        assert sum(len(b) for b in sharded) == len(edges)
+
+    def test_both_drivers_journal_and_count_alike(self, stream_array, tmp_path):
+        from repro.graph import write_edge_list
+        from repro.streaming import FileSource, Pipeline, journal_records
+
+        path = tmp_path / "g.edges"
+        write_edge_list(str(path), [tuple(e) for e in stream_array.tolist()])
+        single = Pipeline.from_registry(
+            ["count", "exact"], num_estimators=16, seed=0
+        ).run(FileSource(path), batch_size=100, journal_dir=tmp_path / "single")
+        sharded = ShardedPipeline(
+            ["count", "exact"], workers=2, num_estimators=16, seed=0
+        ).run(FileSource(path), batch_size=100, journal_dir=tmp_path / "sharded")
+        assert (sharded.edges, sharded.batches) == (single.edges, single.batches)
+        assert sharded["exact"].results == single["exact"].results
+
+        def records(directory):
+            return [
+                (b.array.tolist(), position)
+                for b, position in journal_records(directory)
+            ]
+
+        assert records(tmp_path / "sharded") == records(tmp_path / "single")
+
+    def test_parent_builds_no_batch_context(self, stream_array, monkeypatch):
+        """The shared index is a worker-side cost: the sharded parent only
+        reads, coerces, guards and journals."""
+        from repro.streaming.batch import EdgeBatch
+
+        built = []
+        context = EdgeBatch.context
+
+        def counting(batch):
+            built.append(1)
+            return context.fget(batch)
+
+        monkeypatch.setattr(EdgeBatch, "context", property(counting))
+        report = ShardedPipeline(
+            ["count", "transitivity"], workers=2, num_estimators=16, seed=0
+        ).run(stream_array, batch_size=128)
+        assert report.edges == stream_array.shape[0]
+        assert built == []
